@@ -127,12 +127,17 @@ def _load_table() -> dict:
     return json.loads(source.read_text())
 
 
-def expected_verdict(name: str, ambient_dim: int, op_index: int) -> dict | None:
+def expected_verdict(
+    name: str, ambient_dim: int, op_index: int, reaction: str = "allen-cahn"
+) -> dict | None:
     """Expected (subsolution, supersolution, solution) booleans, if recorded.
 
     Returns None when the table makes no claim for the given parameters,
-    e.g. a radial candidate driven with a mismatched operator index.
+    e.g. a radial candidate driven with a mismatched operator index.  The
+    table is recorded for the ``allen-cahn`` reaction only.
     """
+    if reaction != "allen-cahn":
+        return None
     table = _load_table()
     if name in table["exact"]:
         return dict(table["exact"][name])

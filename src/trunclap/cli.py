@@ -13,6 +13,7 @@ names or out-of-range parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -57,7 +58,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"{w.t!r},{w.residual!r},{w.rule}")
         _emit("\n".join(lines) + "\n", args.out)
 
-    expected = catalog.expected_verdict(args.candidate, args.N, args.k)
+    expected = catalog.expected_verdict(args.candidate, args.N, args.k, args.f)
     if expected is None:
         print(
             f"verdict for {args.candidate}: solution={verdict.solution}"
@@ -267,9 +268,12 @@ FAILURE_ERRORS = (
 )
 
 
+# parsing leaves the parser unchanged, so one per process serves every call
+_parser = functools.lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FAILURE_ERRORS as exc:

@@ -7,7 +7,8 @@ are "weak" and are checked like smooth points from both sides.
 
 A :class:`Candidate` embeds a profile into dimension N, either as a function
 of the last coordinate alone or radially, and fixes the operator index k.
-:func:`candidate_hessian` assembles the ambient Hessian at a point.
+:func:`candidate_hessian` assembles the ambient Hessian at a point and
+:func:`candidate_hessians` stacks them along a scan of profile coordinates.
 """
 
 from __future__ import annotations
@@ -157,10 +158,14 @@ class Profile1D:
         return float(self.piece_at(t).vpp(t))
 
     def _eval_piecewise(self, ts: np.ndarray, attr: str) -> np.ndarray:
+        """Evaluate on each t the piece that :meth:`piece_at` picks for it."""
         ts = np.asarray(ts, dtype=float)
         out = np.empty_like(ts)
-        for p in self.pieces:
-            mask = (ts >= p.lo) & (ts <= p.hi)
+        his = [p.hi for p in self.pieces[:-1]]
+        # a junction belongs to the piece on its right; NaN sorts past every end
+        which = np.searchsorted(his, ts, side="right")
+        for i, p in enumerate(self.pieces):
+            mask = which == i
             if np.any(mask):
                 out[mask] = getattr(p, attr)(ts[mask])
         return out
@@ -343,6 +348,22 @@ class Candidate:
         return x
 
 
+def _refusal(c: Candidate, s: float) -> str | None:
+    """Why the Hessian at profile coordinate s (t, or r when radial) is refused."""
+    if c.kind == "radial" and s == 0.0:
+        slope = c.profile.piece_at(0.0).vp(0.0)
+        if abs(float(slope)) > ORIGIN_SLOPE_TOL:
+            return "radial profile is not smooth at the origin (v'(0) != 0)"
+        kink = c.profile.corner_near(0.0)
+        return None if kink is None else f"second derivative undefined at t={kink.t0}"
+    kink = c.profile.corner_near(s)
+    if kink is None:
+        return None
+    if c.kind == "one_dimensional":
+        return f"point sits on the kink locus t={kink.t0}"
+    return f"point sits on the kink sphere r={kink.t0}"
+
+
 def candidate_hessian(c: Candidate, x) -> SymmetricMatrix:
     """Ambient Hessian of the embedded profile at the point x.
 
@@ -354,29 +375,61 @@ def candidate_hessian(c: Candidate, x) -> SymmetricMatrix:
     if x.shape != (c.ambient_dim,):
         raise ValueError(f"expected a point of R^{c.ambient_dim}, got shape {x.shape}")
     n = c.ambient_dim
+    s = float(x[-1]) if c.kind == "one_dimensional" else float(np.linalg.norm(x))
+    reason = _refusal(c, s)
+    if reason is not None:
+        raise SingularPointError(reason)
     if c.kind == "one_dimensional":
-        t = float(x[-1])
-        kink = c.profile.corner_near(t)
-        if kink is not None:
-            raise SingularPointError(f"point sits on the kink locus t={kink.t0}")
-        curv = c.profile.second_deriv(t)
         dense = np.zeros((n, n))
-        dense[-1, -1] = curv
+        dense[-1, -1] = c.profile.second_deriv(s)
         return SymmetricMatrix.from_dense(dense)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        slope = c.profile.piece_at(0.0).vp(0.0)
-        if abs(float(slope)) > ORIGIN_SLOPE_TOL:
-            raise SingularPointError(
-                "radial profile is not smooth at the origin (v'(0) != 0)"
-            )
+    if s == 0.0:
         return SymmetricMatrix.from_dense(c.profile.second_deriv(0.0) * np.eye(n))
-    kink = c.profile.corner_near(r)
-    if kink is not None:
-        raise SingularPointError(f"point sits on the kink sphere r={kink.t0}")
-    unit = x / r
+    unit = x / s
     proj = np.outer(unit, unit)
-    radial_curv = c.profile.second_deriv(r)
-    tangential = c.profile.deriv(r) / r
+    radial_curv = c.profile.second_deriv(s)
+    tangential = c.profile.deriv(s) / s
     dense = radial_curv * proj + tangential * (np.eye(n) - proj)
     return SymmetricMatrix.from_dense(dense)
+
+
+def candidate_hessians(c: Candidate, ts) -> np.ndarray:
+    """Dense Hessians at the points ``c.embed(t)``, stacked: shape (G, N, N).
+
+    Entry for entry the arithmetic of :func:`candidate_hessian`, with the
+    profile derivatives evaluated on the whole array at once.  Raises the
+    same :class:`SingularPointError` as :func:`candidate_hessian` does at the
+    first refused t.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"expected a 1D array of profile coordinates, got shape {ts.shape}")
+    n = c.ambient_dim
+    profile = c.profile
+    # |embed(t)| as np.linalg.norm computes it: sqrt of the dot product
+    s = ts if c.kind == "one_dimensional" else np.sqrt(ts * ts)
+    origin = np.zeros(ts.shape, dtype=bool) if c.kind == "one_dimensional" else s == 0.0
+    refused = np.zeros(ts.shape, dtype=bool)
+    for corner in profile.corners:
+        refused |= np.abs(s - corner.t0) <= CORNER_LOCUS_TOL
+    if origin.any() and _refusal(c, 0.0) is not None:
+        refused |= origin
+    if refused.any():
+        raise SingularPointError(_refusal(c, float(s[np.argmax(refused)])))
+
+    out = np.zeros((ts.size, n, n))
+    if c.kind == "one_dimensional":
+        out[:, -1, -1] = profile.second_derivs(ts)
+        return out
+    if origin.any():
+        out[origin] = profile.second_deriv(0.0) * np.eye(n)
+    away = ~origin
+    r = s[away]
+    unit = np.zeros((r.size, n))
+    unit[:, 0] = ts[away]
+    unit /= r[:, np.newaxis]
+    proj = unit[:, :, np.newaxis] * unit[:, np.newaxis, :]
+    radial_curv = profile.second_derivs(r)[:, np.newaxis, np.newaxis]
+    tangential = (profile.derivs(r) / r)[:, np.newaxis, np.newaxis]
+    out[away] = radial_curv * proj + tangential * (np.eye(n) - proj)
+    return out

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 DEFAULT_STEP = 1e-3
 DEFAULT_RMAX = 10.0
@@ -29,6 +28,24 @@ ORDERING_SLACK = 1e-9
 _BRACKET_FLOOR = 1e-280
 _QUAD_TOL = 1e-11
 _BISECT_ITERS = 200
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    SciPy takes about half a second to import, and only the quadrature
+    oracle needs it.  The first call rebinds this module's ``quad`` to
+    SciPy's function, unless something else has been bound there meanwhile.
+    """
+    global quad
+    from scipy.integrate import quad as scipy_quad
+
+    if quad is _lazy_quad:
+        quad = scipy_quad
+    return scipy_quad(*args, **kwargs)
+
+
+_lazy_quad = quad
 
 
 class RadialInputError(ValueError):

@@ -24,12 +24,22 @@ carry a zero plateau extending to the left end of the scan.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import smallest_eigen_sum
-from .profiles import Candidate, Corner, candidate_hessian
+# smallest_eigen_sum and candidate_hessian, the per-point forms of the stacked
+# calls, are not used here but stay attributes of this module: the benchmark's
+# tracer (perfbench/tracing.py) wraps them by these names.
+from .operators import MatrixInputError, smallest_eigen_sum, smallest_eigen_sums  # noqa: F401
+from .profiles import (  # noqa: F401
+    Candidate,
+    Corner,
+    SingularPointError,
+    candidate_hessian,
+    candidate_hessians,
+)
 
 DEFAULT_TOL = 1e-8
 # smooth scans must stay this far from declared kink loci
@@ -37,6 +47,8 @@ CORNER_CLEARANCE = 1e-7
 # offset for the two one-sided probes at an equal-slope junction
 PROBE_OFFSET = 1e-6
 MAX_WITNESSES = 16
+# grid points per stacked pass; bounds the (points, N, N) Hessian stacks
+SCAN_BLOCK = 2048
 _ZERO_BAND = 1e-12
 _ORIGIN_SLOPE_TOL = 1e-10
 
@@ -153,30 +165,80 @@ class Verdict:
         }
 
 
-def _residual_at(candidate: Candidate, t: float) -> float:
-    hess = candidate_hessian(candidate, candidate.embed(t))
-    value = candidate.profile.value(t)
-    return smallest_eigen_sum(hess, candidate.op_index) + float(
-        candidate.nonlinearity.f(value)
+@dataclass(frozen=True, eq=False)
+class ResidualScan(Sequence):
+    """Residuals of one scan as arrays; item i is a :class:`ResidualSample`."""
+
+    ts: np.ndarray
+    residuals: np.ndarray
+    side: str = "smooth"
+
+    def __len__(self) -> int:
+        return self.ts.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ResidualScan(self.ts[i], self.residuals[i], self.side)
+        return ResidualSample(float(self.ts[i]), float(self.residuals[i]), self.side)
+
+
+def _residuals(candidate: Candidate, ts: np.ndarray) -> np.ndarray:
+    """Classical residuals at the points ts; non-finite ones are refused."""
+    sums = smallest_eigen_sums(candidate_hessians(candidate, ts), candidate.op_index)
+    # f sees Python floats, one at a time: NumPy's array power can round
+    # differently from the scalar one, and f(v) is what failing points report
+    f = candidate.nonlinearity.f
+    reaction = np.array(
+        [float(f(v)) for v in candidate.profile.values(ts).tolist()], dtype=float
     )
+    residuals = sums + reaction
+    bad = ~np.isfinite(residuals)
+    if bad.any():
+        raise VerificationError(f"non-finite residual at t={float(ts[np.argmax(bad)])}")
+    return residuals
 
 
-def scan_smooth_residuals(
-    candidate: Candidate, grid: np.ndarray
-) -> list[ResidualSample]:
-    """Classical residuals at each grid point, which must avoid kink loci."""
-    profile = candidate.profile
-    samples = []
-    for t in np.asarray(grid, dtype=float):
-        t = float(t)
-        corner = profile.corner_near(t, CORNER_CLEARANCE)
-        if corner is not None:
-            raise CornerOnGridError(
-                f"scan point t={t} is within {CORNER_CLEARANCE} of the"
-                f" kink at t={corner.t0}"
-            )
-        samples.append(ResidualSample(t, _residual_at(candidate, t)))
-    return samples
+def _probe(candidate: Candidate, t: float, side: str = "smooth") -> ResidualScan:
+    ts = np.array([t], dtype=float)
+    return ResidualScan(ts, _residuals(candidate, ts), side)
+
+
+def _residual_at(candidate: Candidate, t: float) -> float:
+    return float(_probe(candidate, t).residuals[0])
+
+
+def _clear_residuals(candidate: Candidate, ts: np.ndarray) -> np.ndarray:
+    near = np.zeros(ts.shape, dtype=bool)
+    for corner in candidate.profile.corners:
+        near |= np.abs(ts - corner.t0) <= CORNER_CLEARANCE
+    if near.any():
+        t = float(ts[np.argmax(near)])
+        corner = candidate.profile.corner_near(t, CORNER_CLEARANCE)
+        raise CornerOnGridError(
+            f"scan point t={t} is within {CORNER_CLEARANCE} of the"
+            f" kink at t={corner.t0}"
+        )
+    return _residuals(candidate, ts)
+
+
+def scan_smooth_residuals(candidate: Candidate, grid: np.ndarray) -> ResidualScan:
+    """Classical residuals at each grid point, which must avoid kink loci.
+
+    The grid is evaluated SCAN_BLOCK points at a time.  A bad block is
+    rescanned point by point, so the error raised is the one the first
+    offending point raises on its own.
+    """
+    ts = np.array(grid, dtype=float)
+    residuals = np.empty(ts.shape)
+    for start in range(0, ts.size, SCAN_BLOCK):
+        block = ts[start:start + SCAN_BLOCK]
+        try:
+            residuals[start:start + block.size] = _clear_residuals(candidate, block)
+        except (VerificationError, SingularPointError, MatrixInputError):
+            for i in range(block.size):
+                _clear_residuals(candidate, block[i:i + 1])
+            raise
+    return ResidualScan(ts, residuals)
 
 
 def check_corner(
@@ -216,43 +278,30 @@ def check_corner(
     )
 
 
-def _weak_corner_samples(
-    candidate: Candidate, corner: Corner
-) -> list[ResidualSample]:
-    left = corner.t0 - PROBE_OFFSET
-    right = corner.t0 + PROBE_OFFSET
-    return [
-        ResidualSample(left, _residual_at(candidate, left), "corner-left"),
-        ResidualSample(right, _residual_at(candidate, right), "corner-right"),
-    ]
-
-
 def _collect(
-    samples: list[ResidualSample], tol: float
+    scan: ResidualScan, tol: float
 ) -> tuple[bool, bool, list[tuple[float, Witness]]]:
-    """Classify samples; returns (sub_ok, super_ok, severity-tagged witnesses)."""
-    sub_ok = True
-    super_ok = True
+    """Classify a scan; returns (sub_ok, super_ok, severity-tagged witnesses).
+
+    Only the MAX_WITNESSES witnesses that come first in verify's order (most
+    severe, then smallest t, then rule name) are tagged; verify keeps no more.
+    """
+    r = scan.residuals
+    sub = r < -tol
+    sup = r > tol
+    failing = np.flatnonzero(sub | sup)
+    sup_f = sup[failing]
+    r_f = r[failing]
+    t_f = scan.ts[failing]
+    severity = np.where(sup_f, r_f - tol, -tol - r_f)
+    where = "" if scan.side == "smooth" else f" ({scan.side} probe)"
+    # "smooth-subsolution" sorts before "smooth-supersolution"
     tagged = []
-    for s in samples:
-        where = "" if s.side == "smooth" else f" ({s.side} probe)"
-        if s.residual < -tol:
-            sub_ok = False
-            tagged.append(
-                (
-                    -tol - s.residual,
-                    Witness(s.t, s.residual, "smooth-subsolution" + where),
-                )
-            )
-        if s.residual > tol:
-            super_ok = False
-            tagged.append(
-                (
-                    s.residual - tol,
-                    Witness(s.t, s.residual, "smooth-supersolution" + where),
-                )
-            )
-    return sub_ok, super_ok, tagged
+    for i in np.lexsort((sup_f, t_f, -severity))[:MAX_WITNESSES].tolist():
+        rule = "smooth-supersolution" if sup_f[i] else "smooth-subsolution"
+        witness = Witness(float(t_f[i]), float(r_f[i]), rule + where)
+        tagged.append((float(severity[i]), witness))
+    return not sub.any(), not sup.any(), tagged
 
 
 def _filter_grid(candidate: Candidate, grid: np.ndarray) -> np.ndarray:
@@ -286,22 +335,26 @@ def verify(
             " are not supported"
         )
 
-    samples = scan_smooth_residuals(candidate, _filter_grid(candidate, grid))
+    scans = [scan_smooth_residuals(candidate, _filter_grid(candidate, grid))]
     if candidate.kind == "radial" and grid[0] > 0.0:
         # probe the center too when the profile is flat there
         if abs(profile.deriv(0.0)) <= _ORIGIN_SLOPE_TOL:
-            samples.insert(0, ResidualSample(0.0, _residual_at(candidate, 0.0)))
-
-    sub_ok, super_ok, tagged = _collect(samples, tol)
-
+            scans.insert(0, _probe(candidate, 0.0))
     for corner in profile.corners:
         if corner.kind == "weak":
-            probes = _weak_corner_samples(candidate, corner)
-            p_sub, p_super, p_tagged = _collect(probes, tol)
-            sub_ok &= p_sub
-            super_ok &= p_super
-            tagged.extend(p_tagged)
-        else:
+            scans.append(_probe(candidate, corner.t0 - PROBE_OFFSET, "corner-left"))
+            scans.append(_probe(candidate, corner.t0 + PROBE_OFFSET, "corner-right"))
+
+    sub_ok = True
+    super_ok = True
+    tagged = []
+    for scan in scans:
+        s_sub, s_super, s_tagged = _collect(scan, tol)
+        sub_ok &= s_sub
+        super_ok &= s_super
+        tagged.extend(s_tagged)
+    for corner in profile.corners:
+        if corner.kind != "weak":
             outcome = check_corner(candidate, corner, tol)
             sub_ok &= outcome.subsolution
             super_ok &= outcome.supersolution
@@ -325,25 +378,13 @@ def verify(
 
 def _plateau(ts: np.ndarray, values: np.ndarray) -> tuple[float, float] | None:
     """Widest sampled run with |v| <= 1e-12; leftmost wins ties."""
-    flat = np.abs(values) <= _ZERO_BAND
-    best = None
-    best_len = 0
-    i = 0
-    n = flat.size
-    while i < n:
-        if not flat[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and flat[j + 1]:
-            j += 1
-        if j - i + 1 > best_len:
-            best_len = j - i + 1
-            best = (float(ts[i]), float(ts[j]))
-        i = j + 1
-    if best_len < 2:
+    flat = np.concatenate(([False], np.abs(values) <= _ZERO_BAND, [False]))
+    # runs are [start, stop) between consecutive changes of the padded mask
+    start, stop = np.flatnonzero(flat[1:] != flat[:-1]).reshape(-1, 2).T
+    if start.size == 0 or np.max(stop - start) < 2:
         return None
-    return best
+    widest = int(np.argmax(stop - start))
+    return float(ts[start[widest]]), float(ts[stop[widest] - 1])
 
 
 def analyze_profile_structure(

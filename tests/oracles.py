@@ -23,8 +23,9 @@ def tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if nx == 0.0:
             continue
         sign = 1.0 if x[0] >= 0.0 else -1.0
-        v = x
-        v[0] += sign * nx
+        # unit-scale Householder vector: v @ v of a raw tiny column underflows
+        v = x / nx
+        v[0] += sign
         beta = 2.0 / float(v @ v)
         s = a[k + 1 :, k + 1 :]
         p = beta * (s @ v)

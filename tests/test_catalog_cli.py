@@ -97,6 +97,14 @@ def test_expected_verdict_families():
     assert catalog.expected_verdict("radial-closed:0.3,3", 3, 3) is None  # no room
 
 
+def test_expected_verdict_is_recorded_for_allen_cahn_only():
+    assert catalog.expected_verdict("halfline-tanh", 3, 1, "allen-cahn") == (
+        catalog.expected_verdict("halfline-tanh", 3, 1)
+    )
+    assert catalog.expected_verdict("halfline-tanh", 3, 1, "power:1,0,2") is None
+    assert catalog.expected_verdict("zero", 2, 1, reaction="power:1,1,3") is None
+
+
 def test_expected_verdict_unlisted_name_is_none():
     assert catalog.expected_verdict("constant:0.3", 3, 1) is None
 
@@ -179,7 +187,8 @@ def test_cli_verify_no_expectation_is_informational(capsys):
          "--grid-points", "201", "--f", "power:1,0,3"]
     )
     _, err = capsys.readouterr()
-    assert rc == 0 or rc == 1  # verdict may differ under another reaction
+    assert rc == 0
+    assert "no recorded expectation" in err
     # the halfline candidate with mismatched radial index has no entry either
     rc = main(
         ["verify", "--candidate", "radial-closed:0.5,2", "--k", "1",
@@ -187,6 +196,16 @@ def test_cli_verify_no_expectation_is_informational(capsys):
     )
     _, err = capsys.readouterr()
     assert rc == 0
+    assert "no recorded expectation" in err
+
+
+def test_cli_verify_other_reaction_has_no_expectation(capsys):
+    # "not a solution" is right for this reaction; the allen-cahn table
+    # must not turn it into a mismatch
+    rc = main(["verify", "--candidate", "halfline-tanh", "--f", "power:1,0,2"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert json.loads(out)["solution"] is False
     assert "no recorded expectation" in err
 
 
@@ -364,3 +383,39 @@ def test_cli_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["expected_verdicts_version"] >= 1
+
+
+_MIXED_ARGV = [
+    ["catalog", "--format", "csv"],
+    ["verify", "--candidate", "plain-tanh", "--N", "3", "--k", "2",
+     "--grid-points", "101", "--format", "csv"],
+    ["eigenbound", "--n", "1", "--grid", "50", "--area-samples", "100000"],
+    ["verify", "--candidate", "nosuch"],
+    ["radial", "--alpha", "0.3", "--step", "0.01", "--rmax", "2",
+     "--quadrature-checks", "2", "--format", "csv"],
+    ["fd", "--boundary", "zero", "--h", "0.5", "--format", "csv"],
+    ["verify", "--candidate", "radial-closed:0.4,1", "--N", "2",
+     "--grid-points", "51"],
+]
+
+
+def test_back_to_back_main_calls_match_separate_processes(capsys):
+    in_process = []
+    for argv in _MIXED_ARGV:
+        rc = main(argv)
+        in_process.append((rc, capsys.readouterr().out))
+    separate = []
+    for argv in _MIXED_ARGV:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trunclap", *argv], capture_output=True, text=True
+        )
+        separate.append((proc.returncode, proc.stdout))
+    assert in_process == separate
+    assert [rc for rc, _ in in_process] == [0, 0, 0, 2, 0, 0, 0]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, trunclap.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trunclap.operators import (
+    JACOBI_TOL,
     MatrixInputError,
+    _jacobi,
     SymmetricMatrix,
     add_rank_one_top,
     eigen_decomposition,
@@ -191,3 +195,63 @@ def test_rank_one_push_dominates_spectrum(data, t):
     before = eigenvalues_ascending(m).as_array()
     after = eigenvalues_ascending(add_rank_one_top(m, t)).as_array()
     assert np.all(after >= before - match_tol(m))
+
+
+def _jacobi_on_numpy_scalars(a, want_vectors):
+    """The rotation loop as it ran on NumPy arrays, kept as the reference."""
+    n = a.shape[0]
+    a = a.copy()
+    vec = np.eye(n) if want_vectors else None
+    goal = JACOBI_TOL * float(np.linalg.norm(a))
+    off_mask = ~np.eye(n, dtype=bool)
+    for _ in range(64):
+        if math.sqrt(float(np.sum(a[off_mask] ** 2))) <= goal:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                num = a[q, q] - a[p, p]
+                if abs(num) > 2.0 * abs(apq) * 1e300:
+                    a[p, q] = a[q, p] = 0.0
+                    continue
+                tau = num / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.hypot(1.0, tau))
+                else:
+                    t = -1.0 / (-tau + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                app, aqq = a[p, p], a[q, q]
+                for i in range(n):
+                    if i == p or i == q:
+                        continue
+                    aip, aiq = a[i, p], a[i, q]
+                    a[i, p] = a[p, i] = aip * c - aiq * s
+                    a[i, q] = a[q, i] = aiq * c + aip * s
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+                if want_vectors:
+                    for i in range(n):
+                        vip, viq = vec[i, p], vec[i, q]
+                        vec[i, p] = vip * c - viq * s
+                        vec[i, q] = viq * c + vip * s
+    return np.diag(a).copy(), vec
+
+
+def test_jacobi_on_python_floats_is_bit_identical_to_numpy_scalars():
+    rng = np.random.default_rng(3)
+    for i in range(600):
+        n = int(rng.integers(2, 7))
+        a = random_symmetric(rng, n, scale=float(10.0 ** rng.integers(-150, 150)))
+        if i % 5 == 0:
+            a[0, n - 1] = a[n - 1, 0] = 0.0  # a coupling that is already zero
+        d, vec = _jacobi(a, want_vectors=True)
+        with np.errstate(over="ignore"):  # the underflow guard may overflow to inf
+            d_ref, vec_ref = _jacobi_on_numpy_scalars(a, want_vectors=True)
+        assert d.tobytes() == d_ref.tobytes()
+        assert vec.tobytes() == vec_ref.tobytes()
+        d_only, none = _jacobi(a, want_vectors=False)
+        assert none is None and d_only.tobytes() == d_ref.tobytes()

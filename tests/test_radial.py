@@ -303,3 +303,30 @@ def test_reports_deterministic():
     a = run_to_csv(integrate_ivp(AC, 0.4, 2, step=1e-2, rmax=3.0))
     b = run_to_csv(integrate_ivp(AC, 0.4, 2, step=1e-2, rmax=3.0))
     assert a == b
+
+
+def test_quad_loads_scipy_on_first_call_and_rebinds(monkeypatch):
+    from trunclap import radial
+
+    monkeypatch.setattr(radial, "quad", radial._lazy_quad)
+    value = radial._reaction_integral(linear_reaction(), 0.1, 0.2)
+    assert value == pytest.approx(math.log(2.0), rel=1e-12)
+    from scipy.integrate import quad as scipy_quad
+
+    assert radial.quad is scipy_quad
+
+
+def test_quad_keeps_a_wrapper_bound_before_the_first_call(monkeypatch):
+    from trunclap import radial
+
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return radial._lazy_quad(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "quad", wrapper)
+    radial._reaction_integral(linear_reaction(), 0.1, 0.2)
+    radial._reaction_integral(linear_reaction(), 0.1, 0.3)
+    assert radial.quad is wrapper
+    assert len(calls) == 2

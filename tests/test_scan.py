@@ -1,0 +1,266 @@
+"""The blocked smooth-point scan against its per-point form and a loop reference."""
+
+import math
+
+import numpy as np
+import pytest
+
+from trunclap import catalog, viscosity
+from trunclap.nonlinearities import allen_cahn
+from trunclap.operators import (
+    MatrixInputError,
+    SymmetricMatrix,
+    eigenvalues_ascending,
+    smallest_eigen_sum,
+    smallest_eigen_sums,
+)
+from trunclap.profiles import (
+    Candidate,
+    Piece,
+    Profile1D,
+    SingularPointError,
+    candidate_hessian,
+    candidate_hessians,
+    halfline_tanh,
+    plain_tanh,
+)
+from trunclap.viscosity import (
+    CORNER_CLEARANCE,
+    SCAN_BLOCK,
+    CornerOnGridError,
+    VerificationError,
+    scan_smooth_residuals,
+)
+
+from oracles import random_symmetric
+
+FAMILIES = (
+    "halfline-tanh",
+    "plain-tanh",
+    "zero",
+    "tanh-shifted:1.25",
+    "tanh-shifted:0",
+    "radial-closed:0.5,2",
+)
+DIMS = [(n, k) for n in range(2, 9) for k in range(1, n)]
+# numpy's array power and the scalar pow may round differently in the last
+# bit, so the loop reference is matched to a few ulps of the O(1) entries
+LOOP_TOL = 64 * np.finfo(float).eps
+
+
+def _grid(candidate, size):
+    if candidate.kind == "radial":
+        # starts at the origin, which the radial rule handles
+        return np.linspace(0.0, 6.0, size)
+    return viscosity._filter_grid(candidate, np.linspace(-6.0, 6.0, size))
+
+
+def _per_point(candidate, ts):
+    return np.array([viscosity._residual_at(candidate, float(t)) for t in ts])
+
+
+def _loop_reference(candidate, ts):
+    """One SymmetricMatrix per point, as the scan was once computed."""
+    out = []
+    for t in ts.tolist():
+        hess = candidate_hessian(candidate, candidate.embed(t))
+        value = candidate.profile.value(t)
+        out.append(
+            smallest_eigen_sum(hess, candidate.op_index)
+            + float(candidate.nonlinearity.f(value))
+        )
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_scan_matches_per_point_bit_for_bit(name):
+    for n, k in DIMS:
+        cand = catalog.make_candidate(name, n, k)
+        ts = _grid(cand, 61)
+        scan = scan_smooth_residuals(cand, ts)
+        assert len(scan) == ts.size
+        assert scan.residuals.tobytes() == _per_point(cand, ts).tobytes(), (n, k)
+        ref = _loop_reference(cand, ts)
+        assert np.max(np.abs(scan.residuals - ref)) <= LOOP_TOL, (n, k)
+
+
+@pytest.mark.parametrize("name", ["plain-tanh", "radial-closed:0.5,2"])
+@pytest.mark.parametrize("size", [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 16001])
+def test_scan_block_edges(name, size):
+    cand = catalog.make_candidate(name, 4, 2)
+    ts = np.linspace(0.001, 20.0, size) if cand.kind == "radial" else np.linspace(
+        -20.0, 20.0, size
+    )
+    scan = scan_smooth_residuals(cand, ts)
+    assert len(scan) == size
+    assert scan.residuals.tobytes() == _per_point(cand, ts).tobytes()
+
+
+def test_radial_origin_probe_matches_scan_at_zero():
+    cand = catalog.make_candidate("radial-closed:0.4,1", 3, 1)
+    at_zero = viscosity._residual_at(cand, 0.0)
+    scan = scan_smooth_residuals(cand, np.array([0.0, 0.5]))
+    assert scan.residuals[0] == at_zero
+    # the origin Hessian is v''(0) times the identity
+    curv = cand.profile.second_deriv(0.0)
+    value = cand.profile.value(0.0)
+    assert at_zero == pytest.approx(curv + cand.nonlinearity.f(value), abs=LOOP_TOL)
+
+
+def test_weak_corner_probes_match_per_point():
+    # the scan stays where the residual vanishes, so only the probes fail
+    cand = catalog.make_candidate("tanh-shifted:0", 3, 1)
+    verdict = viscosity.verify(cand, grid=np.linspace(5.0, 6.0, 11))
+    (w,) = verdict.witnesses
+    assert w.rule == "smooth-subsolution (corner-left probe)"
+    assert w.t == -viscosity.PROBE_OFFSET
+    assert w.residual == viscosity._residual_at(cand, w.t)
+    assert w.residual == pytest.approx(
+        _loop_reference(cand, np.array([w.t]))[0], abs=LOOP_TOL
+    )
+
+
+def test_scan_items_are_residual_samples():
+    cand = Candidate("one_dimensional", plain_tanh(), 2, 1, allen_cahn())
+    scan = scan_smooth_residuals(cand, np.array([-1.0, 1.0]))
+    first, second = scan
+    assert isinstance(first, viscosity.ResidualSample)
+    assert first.t == -1.0 and first.side == "smooth"
+    assert scan[-1] == second
+    assert len(scan[:1]) == 1
+
+
+# ------------------------------------------------------------------ errors
+
+
+def test_grid_near_kink_raises_and_names_first_point():
+    cand = Candidate("one_dimensional", halfline_tanh(), 3, 1, allen_cahn())
+    near = 0.5 * CORNER_CLEARANCE
+    with pytest.raises(CornerOnGridError, match=f"t={near} is within"):
+        scan_smooth_residuals(cand, np.array([-1.0, near, -near, 1.0]))
+    # the offending point in the second block
+    ts = np.concatenate([np.linspace(-5.0, -1.0, SCAN_BLOCK + 10), [-near]])
+    with pytest.raises(CornerOnGridError, match=f"t={-near} is within"):
+        scan_smooth_residuals(cand, ts)
+
+
+def _blowup_piece(lo, hi):
+    """Piece that is infinite left of t = -3, so the reaction is NaN there."""
+    zero = lambda t: 0.0 * np.asarray(t)  # noqa: E731
+    return Piece(lo, hi, lambda t: np.where(np.asarray(t) < -3.0, np.inf, 0.0), zero, zero)
+
+
+def test_non_finite_residual_names_first_point():
+    profile = Profile1D("blowup", (_blowup_piece(-math.inf, math.inf),), ())
+    cand = Candidate("one_dimensional", profile, 3, 1, allen_cahn())
+    with pytest.raises(VerificationError, match="non-finite residual at t=-4.0"):
+        scan_smooth_residuals(cand, np.array([-1.0, -4.0, -5.0]))
+
+
+def test_first_offending_point_wins_across_error_kinds():
+    # a non-finite residual before a kink in the same block is reported first,
+    # and a kink before a non-finite residual likewise
+    halfline = halfline_tanh()
+    pieces = (_blowup_piece(-math.inf, 0.0), halfline.pieces[1])
+    profile = Profile1D("blowup-with-kink", pieces, halfline.corners)
+    cand = Candidate("one_dimensional", profile, 3, 1, allen_cahn())
+    with pytest.raises(VerificationError, match="non-finite residual at t=-4.0") as info:
+        scan_smooth_residuals(cand, np.array([-1.0, -4.0, 0.0]))
+    assert not isinstance(info.value, CornerOnGridError)
+    with pytest.raises(CornerOnGridError, match="t=0.0"):
+        scan_smooth_residuals(cand, np.array([-1.0, 0.0, -4.0]))
+
+
+def test_hessian_stack_refuses_kink_locus_like_per_point():
+    cand = Candidate("one_dimensional", halfline_tanh(), 3, 1, allen_cahn())
+    with pytest.raises(SingularPointError) as stacked:
+        candidate_hessians(cand, np.array([1.0, 0.0]))
+    with pytest.raises(SingularPointError) as single:
+        candidate_hessian(cand, cand.embed(0.0))
+    assert str(stacked.value) == str(single.value)
+
+
+def test_hessian_stack_at_radial_origin_and_zero_profile():
+    # both forms take the scalar v''(0) at the radial origin, and the zero
+    # profile has no curvature, so here the entries agree exactly
+    cand = catalog.make_candidate("radial-closed:0.3,1", 4, 1)
+    stack = candidate_hessians(cand, np.array([0.0, -0.0]))
+    assert np.array_equal(stack[0], candidate_hessian(cand, cand.embed(0.0)).to_dense())
+    cand = catalog.make_candidate("zero", 5, 2)
+    stack = candidate_hessians(cand, np.array([-3.0, 2.0]))
+    assert stack.shape == (2, 5, 5) and not stack.any()
+
+
+def test_stack_rejects_non_finite_entries_and_bad_k():
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(MatrixInputError, match="finite"):
+        smallest_eigen_sums(stack, 1)
+    stack = np.zeros((3, 2, 2))
+    stack[2, 1, 1] = np.inf
+    with pytest.raises(MatrixInputError, match="finite"):
+        smallest_eigen_sums(stack, 1)
+    for k in (0, 3):
+        with pytest.raises(MatrixInputError, match=r"k must lie in \[1, 2\]"):
+            smallest_eigen_sums(np.zeros((3, 2, 2)), k)
+    with pytest.raises(MatrixInputError, match="square"):
+        smallest_eigen_sums(np.zeros((3, 2, 3)), 1)
+
+
+# ------------------------------------------------------------ stacked sums
+
+
+def test_stack_matches_single_matrix_calls():
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        dense = [random_symmetric(rng, n) for _ in range(20)]
+        dense += [np.diag(rng.normal(size=n)) for _ in range(20)]
+        stack = np.array(dense)
+        for k in range(1, n + 1):
+            got = smallest_eigen_sums(stack, k)
+            for g, a in enumerate(dense):
+                m = SymmetricMatrix.from_dense(a)
+                want = 0.0
+                for x in eigenvalues_ascending(m).values[:k]:
+                    want += x
+                assert got[g] == want == smallest_eigen_sum(m, k), (n, k, g)
+
+
+def test_stack_reads_the_upper_triangle_only():
+    a = np.array([[1.0, 0.0], [5.0, 2.0]])
+    assert smallest_eigen_sums(a[np.newaxis], 1)[0] == 1.0
+    b = np.array([[1.0, 5.0], [0.0, 2.0]])
+    want = smallest_eigen_sum(SymmetricMatrix.from_dense(b), 1)
+    assert smallest_eigen_sums(b[np.newaxis], 1)[0] == want
+
+
+def test_empty_stack():
+    assert smallest_eigen_sums(np.zeros((0, 3, 3)), 2).shape == (0,)
+
+
+def _plateau_loop(ts, values):
+    """The run search as a loop, kept as the reference."""
+    flat = np.abs(values) <= 1e-12
+    best, best_len, i, n = None, 0, 0, flat.size
+    while i < n:
+        if not flat[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and flat[j + 1]:
+            j += 1
+        if j - i + 1 > best_len:
+            best_len = j - i + 1
+            best = (float(ts[i]), float(ts[j]))
+        i = j + 1
+    return best if best_len >= 2 else None
+
+
+def test_plateau_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 10, 200):
+        ts = np.sort(rng.uniform(-5.0, 5.0, size))
+        for _ in range(50):
+            values = np.where(rng.random(size) < 0.6, 0.0, rng.normal(size=size))
+            values[rng.random(size) < 0.05] = np.nan
+            assert viscosity._plateau(ts, values) == _plateau_loop(ts, values)
