@@ -131,16 +131,13 @@ def _grid(domain: CollapsingDomain, resolution: int):
     return X, Y
 
 
-def scan_inequality(n: int, resolution: int = 200) -> EigenScanReport:
-    """Verify the test-function inequality over a grid; hard-fails on violations.
+def _checked_samples(n: int, resolution: int):
+    """Grid samples of the certificate scan; hard-fails on violations.
 
-    Case split at interior samples, with a := n^2 sin(nx), b := sin(y):
-      region A (both sines positive):  min(a, b) <= b <= -w;
-      region B (sin(nx) <= 0):         a <= sin(nx) <= -w;
-      region C (sin(y) <= 0):          b <= -w.
-    Points with both sines nonpositive would satisfy both chains; they
-    cannot be interior (w < 0 forces sin(nx) + sin(y) > 0) but are counted
-    under "both" if they ever appear.
+    Returns (domain, X, Y, w, residual, d, closed, interior, regions): d is
+    the boundary distance, closed masks the closed domain, and regions maps
+    "A", "B", "C" and "both" to disjoint masks that cover the interior; see
+    :func:`scan_inequality`.
     """
     if not isinstance(resolution, int) or resolution < MIN_RESOLUTION:
         raise ScanInputError(
@@ -184,18 +181,19 @@ def scan_inequality(n: int, resolution: int = 200) -> EigenScanReport:
             f"w is not negative at interior sample ({X[tuple(i)]}, {Y[tuple(i)]})"
         )
 
-    region_a = interior & (snx > 0.0) & (sy > 0.0)
-    region_both = interior & (snx <= 0.0) & (sy <= 0.0)
-    region_b = interior & (snx <= 0.0) & (sy > 0.0)
-    region_c = interior & (snx > 0.0) & (sy <= 0.0)
-
-    chains = [
-        ("A", region_a, (np.minimum(a, sy) <= sy + RESIDUAL_TOL) & (sy <= -w + RESIDUAL_TOL)),
-        ("B", region_b, (a <= snx + RESIDUAL_TOL) & (snx <= -w + RESIDUAL_TOL)),
-        ("C", region_c, sy <= -w + RESIDUAL_TOL),
-    ]
-    for name, mask, ok in chains:
-        broken = mask & ~ok
+    regions = {
+        "A": interior & (snx > 0.0) & (sy > 0.0),
+        "B": interior & (snx <= 0.0) & (sy > 0.0),
+        "C": interior & (snx > 0.0) & (sy <= 0.0),
+        "both": interior & (snx <= 0.0) & (sy <= 0.0),
+    }
+    chains = {
+        "A": (np.minimum(a, sy) <= sy + RESIDUAL_TOL) & (sy <= -w + RESIDUAL_TOL),
+        "B": (a <= snx + RESIDUAL_TOL) & (snx <= -w + RESIDUAL_TOL),
+        "C": sy <= -w + RESIDUAL_TOL,
+    }
+    for name, ok in chains.items():
+        broken = regions[name] & ~ok
         if broken.any():
             i = np.argwhere(broken)[0]
             raise CertificateViolation(
@@ -215,7 +213,23 @@ def scan_inequality(n: int, resolution: int = 200) -> EigenScanReport:
                 f"diagonal shortcut disagrees with the eigensolver at"
                 f" ({X[i, j]}, {Y[i, j]})"
             )
+    return domain, X, Y, w, residual, d, closed, interior, regions
 
+
+def scan_inequality(n: int, resolution: int = 200) -> EigenScanReport:
+    """Verify the test-function inequality over a grid; hard-fails on violations.
+
+    Case split at interior samples, with a := n^2 sin(nx), b := sin(y):
+      region A (both sines positive):  min(a, b) <= b <= -w;
+      region B (sin(nx) <= 0):         a <= sin(nx) <= -w;
+      region C (sin(y) <= 0):          b <= -w.
+    Points with both sines nonpositive would satisfy both chains; they
+    cannot be interior (w < 0 forces sin(nx) + sin(y) > 0) but are counted
+    under "both" if they ever appear.
+    """
+    domain, X, Y, w, residual, d, closed, interior, regions = _checked_samples(
+        n, resolution
+    )
     xmin, xmax, ymin, ymax = domain.bounding_box
     box_area = (xmax - xmin) * (ymax - ymin)
     inside = domain.membership(X, Y)
@@ -230,12 +244,7 @@ def scan_inequality(n: int, resolution: int = 200) -> EigenScanReport:
         n=n,
         resolution=resolution,
         interior_count=int(interior.sum()),
-        region_counts={
-            "A": int(region_a.sum()),
-            "B": int(region_b.sum()),
-            "C": int(region_c.sum()),
-            "both": int(region_both.sum()),
-        },
+        region_counts={name: int(mask.sum()) for name, mask in regions.items()},
         max_residual=float(residual[interior].max()),
         max_interior_w=float(w[interior].max()),
         boundary_max_abs_w=boundary_max,
@@ -291,28 +300,20 @@ def eigenvalue_bound_certificate(
 
 
 def scan_to_csv(n: int, resolution: int = 200) -> str:
-    """Interior samples as x,y,w,residual,region rows for plotting."""
-    scan_inequality(n, resolution)  # hard gate before any dump
-    domain = CollapsingDomain(n)
-    X, Y = _grid(domain, resolution)
-    w = w_n(n, X, Y)
-    snx = np.sin(n * X)
-    sy = np.sin(Y)
-    a = float(n * n) * snx
-    residual = np.minimum(a, sy) + w
-    interior = domain.boundary_distance(X, Y) > INTERIOR_MARGIN
+    """Interior samples as x,y,w,residual,region rows for plotting.
+
+    The scan's checks run first, so a broken certificate dumps nothing.
+    """
+    _, X, Y, w, residual, _, _, interior, regions = _checked_samples(n, resolution)
+    label = np.empty(interior.shape, dtype="<U4")
+    for name, mask in regions.items():
+        label[mask] = name
     lines = ["x,y,w,residual,region"]
-    for i, j in np.argwhere(interior):
-        if snx[i, j] > 0.0 and sy[i, j] > 0.0:
-            region = "A"
-        elif snx[i, j] <= 0.0 and sy[i, j] <= 0.0:
-            region = "both"
-        elif snx[i, j] <= 0.0:
-            region = "B"
-        else:
-            region = "C"
-        lines.append(
-            f"{float(X[i, j])!r},{float(Y[i, j])!r},{float(w[i, j])!r},"
-            f"{float(residual[i, j])!r},{region}"
-        )
-    return "\n".join(lines) + "\n"
+    # one grid row at a time, so only one row of Python floats is alive
+    for i, row in enumerate(interior):
+        columns = (arr[i, row].tolist() for arr in (X, Y, w, residual, label))
+        for x, y, wv, r, region in zip(*columns):
+            lines.append(f"{x!r},{y!r},{wv!r},{r!r},{region}")
+    # the empty last row ends the text with a newline without a second copy
+    lines.append("")
+    return "\n".join(lines)

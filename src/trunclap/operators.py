@@ -189,36 +189,23 @@ def eigen_decomposition(m: SymmetricMatrix) -> tuple[Spectrum, np.ndarray]:
 
 def smallest_eigen_sum(m: SymmetricMatrix, k: int) -> float:
     """Sum of the k smallest eigenvalues of ``m`` (the trace when k = dim)."""
-    return float(smallest_eigen_sums(m.to_dense()[np.newaxis], k)[0])
+    d, _ = _jacobi(m.to_dense(), want_vectors=False)
+    return float(smallest_sums(d[np.newaxis], k)[0])
 
 
-def smallest_eigen_sums(stack, k: int) -> np.ndarray:
-    """Sum of the k smallest eigenvalues of each matrix in a (G, N, N) stack.
+def smallest_sums(values, k: int) -> np.ndarray:
+    """Sum of the k smallest entries of each row of a (G, N) array.
 
-    Only the upper triangle of each matrix is read, as in
-    :meth:`SymmetricMatrix.from_dense`.  A matrix whose off-diagonal entries
-    are all zero contributes its diagonal directly, which is what the Jacobi
-    solver returns for it after no rotation; every other matrix goes through
-    the solver.  Each sorted row is summed left to right from 0.0.
+    Applied to the eigenvalues of G matrices this is their operator value.
+    Each sorted row is summed left to right from 0.0.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
-        raise MatrixInputError(f"expected a stack of square matrices, got shape {stack.shape}")
-    n = stack.shape[1]
+    values = np.asarray(values, dtype=float)
+    n = values.shape[1]
     if not 1 <= k <= n:
         raise MatrixInputError(f"k must lie in [1, {n}], got {k}")
-    rows, cols = _triu(n)
-    upper = stack[:, rows, cols]
-    if not np.isfinite(upper).all():
+    if not np.isfinite(values).all():
         raise MatrixInputError("matrix entries must be finite")
-    values = np.diagonal(stack, axis1=1, axis2=2).copy()
-    coupled = np.flatnonzero((upper[:, rows != cols] != 0.0).any(axis=1))
-    for g in coupled:
-        dense = np.zeros((n, n))
-        dense[rows, cols] = upper[g]
-        dense.T[rows, cols] = upper[g]
-        values[g], _ = _jacobi(dense, want_vectors=False)
-    values.sort(axis=1)
+    values = np.sort(values, axis=1)
     total = np.zeros(values.shape[0])
     for j in range(k):
         total += values[:, j]

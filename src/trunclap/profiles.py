@@ -8,7 +8,8 @@ are "weak" and are checked like smooth points from both sides.
 A :class:`Candidate` embeds a profile into dimension N, either as a function
 of the last coordinate alone or radially, and fixes the operator index k.
 :func:`candidate_hessian` assembles the ambient Hessian at a point and
-:func:`candidate_hessians` stacks them along a scan of profile coordinates.
+:func:`candidate_spectra` gives its eigenvalues along a scan of profile
+coordinates.
 """
 
 from __future__ import annotations
@@ -393,10 +394,12 @@ def candidate_hessian(c: Candidate, x) -> SymmetricMatrix:
     return SymmetricMatrix.from_dense(dense)
 
 
-def candidate_hessians(c: Candidate, ts) -> np.ndarray:
-    """Dense Hessians at the points ``c.embed(t)``, stacked: shape (G, N, N).
+def candidate_spectra(c: Candidate, ts) -> np.ndarray:
+    """Eigenvalues of the Hessians at the points ``c.embed(t)``: shape (G, N).
 
-    Entry for entry the arithmetic of :func:`candidate_hessian`, with the
+    Every ``c.embed(t)`` lies on a coordinate axis, where the Hessian that
+    :func:`candidate_hessian` builds has no nonzero off-diagonal entry.  Row
+    g is its diagonal, entry for entry with the same arithmetic, with the
     profile derivatives evaluated on the whole array at once.  Raises the
     same :class:`SingularPointError` as :func:`candidate_hessian` does at the
     first refused t.
@@ -417,19 +420,18 @@ def candidate_hessians(c: Candidate, ts) -> np.ndarray:
     if refused.any():
         raise SingularPointError(_refusal(c, float(s[np.argmax(refused)])))
 
-    out = np.zeros((ts.size, n, n))
+    out = np.zeros((ts.size, n))
     if c.kind == "one_dimensional":
-        out[:, -1, -1] = profile.second_derivs(ts)
+        out[:, -1] = profile.second_derivs(ts)
         return out
     if origin.any():
-        out[origin] = profile.second_deriv(0.0) * np.eye(n)
+        out[origin] = profile.second_deriv(0.0)
     away = ~origin
     r = s[away]
-    unit = np.zeros((r.size, n))
-    unit[:, 0] = ts[away]
-    unit /= r[:, np.newaxis]
-    proj = unit[:, :, np.newaxis] * unit[:, np.newaxis, :]
-    radial_curv = profile.second_derivs(r)[:, np.newaxis, np.newaxis]
-    tangential = (profile.derivs(r) / r)[:, np.newaxis, np.newaxis]
-    out[away] = radial_curv * proj + tangential * (np.eye(n) - proj)
+    unit = ts[away] / r
+    p = unit * unit
+    radial_curv = profile.second_derivs(r)
+    tangential = profile.derivs(r) / r
+    out[away, 0] = radial_curv * p + tangential * (1.0 - p)
+    out[away, 1:] = tangential[:, np.newaxis]
     return out

@@ -164,15 +164,13 @@ def integrate_ivp(
         v[i + 1] = u
 
     r = np.arange(n + 1) * h
-    vp = -(r / k) * np.asarray(f.f(v), dtype=float)
+    fv = np.asarray(f.f(v), dtype=float)
+    vp = -(r / k) * fv
     vp[0] = 0.0
 
-    fv = np.asarray(f.f(v), dtype=float)
-    fpv = np.asarray(f.fprime(v), dtype=float)
-    vpp = -(fv + r * fpv * vp) / k
-    ordering_ok = bool(
-        np.all(vpp[1:] >= vp[1:] / r[1:] - ORDERING_SLACK)
-    )
+    vpp = _curvature(f, r, v, vp, k, fv)
+    # unlike check_curvature_ordering, a NaN curvature fails the ordering here
+    ordering_ok = bool(np.all(vpp[1:] >= _ordering_floor(r, vp)))
     diagnostics = Diagnostics(
         monotone_decreasing=bool(np.all(np.diff(v) < 0.0)),
         positive=bool(np.all(v > 0.0)),
@@ -192,21 +190,35 @@ def integrate_ivp(
     )
 
 
+def _curvature(f, r, v, vp, k: int, fv) -> np.ndarray:
+    """v'' = -(1/k)(f(v) + r f'(v) v') from the differentiated IVP; fv is f(v)."""
+    fpv = np.asarray(f.fprime(v), dtype=float)
+    return -(fv + r * fpv * vp) / k
+
+
+def _ordering_floor(r, vp) -> np.ndarray:
+    """v'/r - slack from the first step on, the floor v'' must stay above.
+
+    At r = 0 both sides share the limit v''(0), so that sample is left out.
+    """
+    return vp[1:] / r[1:] - ORDERING_SLACK
+
+
+def _ordering_violations(run: RadialRun, vpp) -> list[float]:
+    bad = vpp[1:] < _ordering_floor(run.r, run.vp)
+    return [float(x) for x in run.r[1:][bad]]
+
+
 def second_derivative_from_ode(run: RadialRun, f) -> np.ndarray:
     """v'' along the run via the differentiated IVP, avoiding difference noise:
     v'' = -(1/k)(f(v) + r f'(v) v')."""
     fv = np.asarray(f.f(run.v), dtype=float)
-    fpv = np.asarray(f.fprime(run.v), dtype=float)
-    return -(fv + run.r * fpv * run.vp) / run.k
+    return _curvature(f, run.r, run.v, run.vp, run.k, fv)
 
 
 def check_curvature_ordering(run: RadialRun, f) -> list[float]:
     """Radii where v'' < v'/r - slack; empty list means the reduction is valid."""
-    vpp = second_derivative_from_ode(run, f)
-    # at r = 0 both sides share the limit v''(0); compare from the first step on
-    r = run.r[1:]
-    bad = vpp[1:] < run.vp[1:] / r - ORDERING_SLACK
-    return [float(x) for x in r[bad]]
+    return _ordering_violations(run, second_derivative_from_ode(run, f))
 
 
 def _reaction_integral(f, lo: float, hi: float) -> float:
@@ -290,13 +302,14 @@ def residual_of_radial(run: RadialRun, N: int, f) -> float:
         raise RadialInputError(
             f"operator index {run.k} must be at most N-1 = {N - 1}"
         )
-    violations = check_curvature_ordering(run, f)
+    fv = np.asarray(f.f(run.v), dtype=float)
+    vpp = _curvature(f, run.r, run.v, run.vp, run.k, fv)
+    violations = _ordering_violations(run, vpp)
     if violations:
         raise OrderingViolationError(
             f"curvature ordering v'' >= v'/r fails at {len(violations)} radii"
             f" starting at r={violations[0]}; ambient reduction invalid"
         )
-    vpp = second_derivative_from_ode(run, f)
     tangential = np.empty_like(vpp)
     tangential[0] = vpp[0]  # limit of v'/r at the center
     tangential[1:] = run.vp[1:] / run.r[1:]
@@ -307,7 +320,7 @@ def residual_of_radial(run: RadialRun, N: int, f) -> float:
         k * tangential,
         vpp + (k - 1) * tangential,
     )
-    residual = sum_k + np.asarray(f.f(run.v), dtype=float)
+    residual = sum_k + fv
     return float(np.max(np.abs(residual)))
 
 

@@ -29,16 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# smallest_eigen_sum and candidate_hessian, the per-point forms of the stacked
-# calls, are not used here but stay attributes of this module: the benchmark's
-# tracer (perfbench/tracing.py) wraps them by these names.
-from .operators import MatrixInputError, smallest_eigen_sum, smallest_eigen_sums  # noqa: F401
+# smallest_eigen_sum and candidate_hessian, the general-point forms that the
+# tests compare the scan against, are not used here but stay attributes of
+# this module: the benchmark's tracer (perfbench/tracing.py) wraps them by
+# these names.
+from .operators import MatrixInputError, smallest_eigen_sum, smallest_sums  # noqa: F401
 from .profiles import (  # noqa: F401
     Candidate,
     Corner,
     SingularPointError,
     candidate_hessian,
-    candidate_hessians,
+    candidate_spectra,
 )
 
 DEFAULT_TOL = 1e-8
@@ -47,8 +48,6 @@ CORNER_CLEARANCE = 1e-7
 # offset for the two one-sided probes at an equal-slope junction
 PROBE_OFFSET = 1e-6
 MAX_WITNESSES = 16
-# grid points per stacked pass; bounds the (points, N, N) Hessian stacks
-SCAN_BLOCK = 2048
 _ZERO_BAND = 1e-12
 _ORIGIN_SLOPE_TOL = 1e-10
 
@@ -184,7 +183,7 @@ class ResidualScan(Sequence):
 
 def _residuals(candidate: Candidate, ts: np.ndarray) -> np.ndarray:
     """Classical residuals at the points ts; non-finite ones are refused."""
-    sums = smallest_eigen_sums(candidate_hessians(candidate, ts), candidate.op_index)
+    sums = smallest_sums(candidate_spectra(candidate, ts), candidate.op_index)
     # f sees Python floats, one at a time: NumPy's array power can round
     # differently from the scalar one, and f(v) is what failing points report
     f = candidate.nonlinearity.f
@@ -224,20 +223,17 @@ def _clear_residuals(candidate: Candidate, ts: np.ndarray) -> np.ndarray:
 def scan_smooth_residuals(candidate: Candidate, grid: np.ndarray) -> ResidualScan:
     """Classical residuals at each grid point, which must avoid kink loci.
 
-    The grid is evaluated SCAN_BLOCK points at a time.  A bad block is
-    rescanned point by point, so the error raised is the one the first
-    offending point raises on its own.
+    The grid is evaluated in one array pass.  A bad grid is rescanned point
+    by point, so the error raised is the one the first offending point
+    raises on its own.
     """
     ts = np.array(grid, dtype=float)
-    residuals = np.empty(ts.shape)
-    for start in range(0, ts.size, SCAN_BLOCK):
-        block = ts[start:start + SCAN_BLOCK]
-        try:
-            residuals[start:start + block.size] = _clear_residuals(candidate, block)
-        except (VerificationError, SingularPointError, MatrixInputError):
-            for i in range(block.size):
-                _clear_residuals(candidate, block[i:i + 1])
-            raise
+    try:
+        residuals = _clear_residuals(candidate, ts)
+    except (VerificationError, SingularPointError, MatrixInputError):
+        for i in range(ts.size):
+            _clear_residuals(candidate, ts[i:i + 1])
+        raise
     return ResidualScan(ts, residuals)
 
 

@@ -1,4 +1,4 @@
-"""The blocked smooth-point scan against its per-point form and a loop reference."""
+"""The array smooth-point scan against its per-point form and a loop reference."""
 
 import math
 
@@ -12,7 +12,7 @@ from trunclap.operators import (
     SymmetricMatrix,
     eigenvalues_ascending,
     smallest_eigen_sum,
-    smallest_eigen_sums,
+    smallest_sums,
 )
 from trunclap.profiles import (
     Candidate,
@@ -20,13 +20,12 @@ from trunclap.profiles import (
     Profile1D,
     SingularPointError,
     candidate_hessian,
-    candidate_hessians,
+    candidate_spectra,
     halfline_tanh,
     plain_tanh,
 )
 from trunclap.viscosity import (
     CORNER_CLEARANCE,
-    SCAN_BLOCK,
     CornerOnGridError,
     VerificationError,
     scan_smooth_residuals,
@@ -85,7 +84,7 @@ def test_scan_matches_per_point_bit_for_bit(name):
 
 
 @pytest.mark.parametrize("name", ["plain-tanh", "radial-closed:0.5,2"])
-@pytest.mark.parametrize("size", [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 16001])
+@pytest.mark.parametrize("size", [1, 2047, 2048, 2049, 16001])
 def test_scan_block_edges(name, size):
     cand = catalog.make_candidate(name, 4, 2)
     ts = np.linspace(0.001, 20.0, size) if cand.kind == "radial" else np.linspace(
@@ -138,8 +137,8 @@ def test_grid_near_kink_raises_and_names_first_point():
     near = 0.5 * CORNER_CLEARANCE
     with pytest.raises(CornerOnGridError, match=f"t={near} is within"):
         scan_smooth_residuals(cand, np.array([-1.0, near, -near, 1.0]))
-    # the offending point in the second block
-    ts = np.concatenate([np.linspace(-5.0, -1.0, SCAN_BLOCK + 10), [-near]])
+    # the offending point last in a long grid
+    ts = np.concatenate([np.linspace(-5.0, -1.0, 2058), [-near]])
     with pytest.raises(CornerOnGridError, match=f"t={-near} is within"):
         scan_smooth_residuals(cand, ts)
 
@@ -173,69 +172,70 @@ def test_first_offending_point_wins_across_error_kinds():
 
 def test_hessian_stack_refuses_kink_locus_like_per_point():
     cand = Candidate("one_dimensional", halfline_tanh(), 3, 1, allen_cahn())
-    with pytest.raises(SingularPointError) as stacked:
-        candidate_hessians(cand, np.array([1.0, 0.0]))
+    with pytest.raises(SingularPointError) as spectra:
+        candidate_spectra(cand, np.array([1.0, 0.0]))
     with pytest.raises(SingularPointError) as single:
         candidate_hessian(cand, cand.embed(0.0))
-    assert str(stacked.value) == str(single.value)
+    assert str(spectra.value) == str(single.value)
 
 
 def test_hessian_stack_at_radial_origin_and_zero_profile():
     # both forms take the scalar v''(0) at the radial origin, and the zero
     # profile has no curvature, so here the entries agree exactly
     cand = catalog.make_candidate("radial-closed:0.3,1", 4, 1)
-    stack = candidate_hessians(cand, np.array([0.0, -0.0]))
-    assert np.array_equal(stack[0], candidate_hessian(cand, cand.embed(0.0)).to_dense())
+    spectra = candidate_spectra(cand, np.array([0.0, -0.0]))
+    dense = candidate_hessian(cand, cand.embed(0.0)).to_dense()
+    assert np.array_equal(spectra, [np.diag(dense)] * 2)
     cand = catalog.make_candidate("zero", 5, 2)
-    stack = candidate_hessians(cand, np.array([-3.0, 2.0]))
-    assert stack.shape == (2, 5, 5) and not stack.any()
+    spectra = candidate_spectra(cand, np.array([-3.0, 2.0]))
+    assert spectra.shape == (2, 5) and not spectra.any()
 
 
-def test_stack_rejects_non_finite_entries_and_bad_k():
-    stack = np.zeros((3, 2, 2))
-    stack[1, 0, 1] = np.nan
-    with pytest.raises(MatrixInputError, match="finite"):
-        smallest_eigen_sums(stack, 1)
-    stack = np.zeros((3, 2, 2))
-    stack[2, 1, 1] = np.inf
-    with pytest.raises(MatrixInputError, match="finite"):
-        smallest_eigen_sums(stack, 1)
+@pytest.mark.parametrize("name", FAMILIES)
+def test_spectra_are_the_diagonal_of_the_general_point_hessian(name):
+    off_diagonal = ~np.eye(8, dtype=bool)
+    for n, k in DIMS:
+        cand = catalog.make_candidate(name, n, k)
+        ts = _grid(cand, 61)
+        spectra = candidate_spectra(cand, ts)
+        assert spectra.shape == (ts.size, n)
+        for t, row in zip(ts.tolist(), spectra):
+            dense = candidate_hessian(cand, cand.embed(t)).to_dense()
+            assert not dense[off_diagonal[:n, :n]].any(), (n, k, t)
+            # scalar and array transcendentals may round differently
+            assert np.allclose(row, np.diag(dense), rtol=LOOP_TOL, atol=LOOP_TOL), (n, k, t)
+
+
+# ------------------------------------------------------------ row sums
+
+
+def test_smallest_sums_rejects_non_finite_values_and_bad_k():
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((3, 2))
+        values[1, 0] = bad
+        with pytest.raises(MatrixInputError, match="finite"):
+            smallest_sums(values, 1)
     for k in (0, 3):
         with pytest.raises(MatrixInputError, match=r"k must lie in \[1, 2\]"):
-            smallest_eigen_sums(np.zeros((3, 2, 2)), k)
-    with pytest.raises(MatrixInputError, match="square"):
-        smallest_eigen_sums(np.zeros((3, 2, 3)), 1)
+            smallest_sums(np.zeros((3, 2)), k)
 
 
-# ------------------------------------------------------------ stacked sums
+def test_smallest_sums_of_no_rows():
+    assert smallest_sums(np.zeros((0, 3)), 2).shape == (0,)
 
 
-def test_stack_matches_single_matrix_calls():
+def test_smallest_eigen_sum_is_the_left_to_right_sum_of_the_spectrum():
     rng = np.random.default_rng(29)
     for n in range(1, 7):
         dense = [random_symmetric(rng, n) for _ in range(20)]
         dense += [np.diag(rng.normal(size=n)) for _ in range(20)]
-        stack = np.array(dense)
         for k in range(1, n + 1):
-            got = smallest_eigen_sums(stack, k)
-            for g, a in enumerate(dense):
+            for a in dense:
                 m = SymmetricMatrix.from_dense(a)
                 want = 0.0
                 for x in eigenvalues_ascending(m).values[:k]:
                     want += x
-                assert got[g] == want == smallest_eigen_sum(m, k), (n, k, g)
-
-
-def test_stack_reads_the_upper_triangle_only():
-    a = np.array([[1.0, 0.0], [5.0, 2.0]])
-    assert smallest_eigen_sums(a[np.newaxis], 1)[0] == 1.0
-    b = np.array([[1.0, 5.0], [0.0, 2.0]])
-    want = smallest_eigen_sum(SymmetricMatrix.from_dense(b), 1)
-    assert smallest_eigen_sums(b[np.newaxis], 1)[0] == want
-
-
-def test_empty_stack():
-    assert smallest_eigen_sums(np.zeros((0, 3, 3)), 2).shape == (0,)
+                assert smallest_eigen_sum(m, k) == want, (n, k)
 
 
 def _plateau_loop(ts, values):
