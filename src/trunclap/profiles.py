@@ -394,6 +394,25 @@ def candidate_hessian(c: Candidate, x) -> SymmetricMatrix:
     return SymmetricMatrix.from_dense(dense)
 
 
+def _profile_coordinates(c: Candidate, ts: np.ndarray) -> np.ndarray:
+    """|embed(t)| as np.linalg.norm computes it (sqrt of the dot product) when radial."""
+    return ts if c.kind == "one_dimensional" else np.sqrt(ts * ts)
+
+
+def refused_points(c: Candidate, ts) -> np.ndarray:
+    """Mask of the points ``c.embed(t)`` where :func:`candidate_hessian` refuses."""
+    ts = np.asarray(ts, dtype=float)
+    s = _profile_coordinates(c, ts)
+    refused = np.zeros(ts.shape, dtype=bool)
+    for corner in c.profile.corners:
+        refused |= np.abs(s - corner.t0) <= CORNER_LOCUS_TOL
+    if c.kind == "radial":
+        origin = s == 0.0
+        if origin.any() and _refusal(c, 0.0) is not None:
+            refused |= origin
+    return refused
+
+
 def candidate_spectra(c: Candidate, ts) -> np.ndarray:
     """Eigenvalues of the Hessians at the points ``c.embed(t)``: shape (G, N).
 
@@ -402,21 +421,15 @@ def candidate_spectra(c: Candidate, ts) -> np.ndarray:
     g is its diagonal, entry for entry with the same arithmetic, with the
     profile derivatives evaluated on the whole array at once.  Raises the
     same :class:`SingularPointError` as :func:`candidate_hessian` does at the
-    first refused t.
+    first refused t (see :func:`refused_points`).
     """
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ValueError(f"expected a 1D array of profile coordinates, got shape {ts.shape}")
     n = c.ambient_dim
     profile = c.profile
-    # |embed(t)| as np.linalg.norm computes it: sqrt of the dot product
-    s = ts if c.kind == "one_dimensional" else np.sqrt(ts * ts)
-    origin = np.zeros(ts.shape, dtype=bool) if c.kind == "one_dimensional" else s == 0.0
-    refused = np.zeros(ts.shape, dtype=bool)
-    for corner in profile.corners:
-        refused |= np.abs(s - corner.t0) <= CORNER_LOCUS_TOL
-    if origin.any() and _refusal(c, 0.0) is not None:
-        refused |= origin
+    s = _profile_coordinates(c, ts)
+    refused = refused_points(c, ts)
     if refused.any():
         raise SingularPointError(_refusal(c, float(s[np.argmax(refused)])))
 
@@ -424,6 +437,7 @@ def candidate_spectra(c: Candidate, ts) -> np.ndarray:
     if c.kind == "one_dimensional":
         out[:, -1] = profile.second_derivs(ts)
         return out
+    origin = s == 0.0
     if origin.any():
         out[origin] = profile.second_deriv(0.0)
     away = ~origin

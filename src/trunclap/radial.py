@@ -169,8 +169,7 @@ def integrate_ivp(
     vp[0] = 0.0
 
     vpp = _curvature(f, r, v, vp, k, fv)
-    # unlike check_curvature_ordering, a NaN curvature fails the ordering here
-    ordering_ok = bool(np.all(vpp[1:] >= _ordering_floor(r, vp)))
+    ordering_ok = not _ordering_fails(r, vp, vpp).any()
     diagnostics = Diagnostics(
         monotone_decreasing=bool(np.all(np.diff(v) < 0.0)),
         positive=bool(np.all(v > 0.0)),
@@ -196,16 +195,17 @@ def _curvature(f, r, v, vp, k: int, fv) -> np.ndarray:
     return -(fv + r * fpv * vp) / k
 
 
-def _ordering_floor(r, vp) -> np.ndarray:
-    """v'/r - slack from the first step on, the floor v'' must stay above.
+def _ordering_fails(r, vp, vpp) -> np.ndarray:
+    """Mask over r[1:] of the radii where v'' is not at least v'/r - slack.
 
     At r = 0 both sides share the limit v''(0), so that sample is left out.
+    A NaN on either side fails the ordering.
     """
-    return vp[1:] / r[1:] - ORDERING_SLACK
+    return ~(vpp[1:] >= vp[1:] / r[1:] - ORDERING_SLACK)
 
 
 def _ordering_violations(run: RadialRun, vpp) -> list[float]:
-    bad = vpp[1:] < _ordering_floor(run.r, run.vp)
+    bad = _ordering_fails(run.r, run.vp, vpp)
     return [float(x) for x in run.r[1:][bad]]
 
 
@@ -217,7 +217,8 @@ def second_derivative_from_ode(run: RadialRun, f) -> np.ndarray:
 
 
 def check_curvature_ordering(run: RadialRun, f) -> list[float]:
-    """Radii where v'' < v'/r - slack; empty list means the reduction is valid."""
+    """Radii where v'' is not at least v'/r - slack (NaN included); empty
+    list means the reduction is valid."""
     return _ordering_violations(run, second_derivative_from_ode(run, f))
 
 

@@ -23,8 +23,6 @@ carry a zero plateau extending to the left end of the scan.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +31,13 @@ import numpy as np
 # tests compare the scan against, are not used here but stay attributes of
 # this module: the benchmark's tracer (perfbench/tracing.py) wraps them by
 # these names.
-from .operators import MatrixInputError, smallest_eigen_sum, smallest_sums  # noqa: F401
+from .operators import smallest_eigen_sum, smallest_sums  # noqa: F401
 from .profiles import (  # noqa: F401
     Candidate,
     Corner,
-    SingularPointError,
     candidate_hessian,
     candidate_spectra,
+    refused_points,
 )
 
 DEFAULT_TOL = 1e-8
@@ -75,23 +73,6 @@ def default_grid(kind: str) -> np.ndarray:
     if kind == "radial":
         return np.linspace(1e-3, 20.0, 2001)
     raise VerificationError(f"unknown candidate kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class ResidualSample:
-    """Classical residual at one scan location.
-
-    side is "smooth" for ordinary grid points and "corner-left" /
-    "corner-right" for the one-sided probes next to an equal-slope junction.
-    """
-
-    t: float
-    residual: float
-    side: str = "smooth"
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.residual):
-            raise VerificationError(f"non-finite residual at t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -164,77 +145,55 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualScan(Sequence):
-    """Residuals of one scan as arrays; item i is a :class:`ResidualSample`."""
-
-    ts: np.ndarray
-    residuals: np.ndarray
-    side: str = "smooth"
-
-    def __len__(self) -> int:
-        return self.ts.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ResidualScan(self.ts[i], self.residuals[i], self.side)
-        return ResidualSample(float(self.ts[i]), float(self.residuals[i]), self.side)
+def _cleared(candidate: Candidate, ts: np.ndarray) -> np.ndarray:
+    """Mask of the points at least CORNER_CLEARANCE away from every kink locus."""
+    cleared = np.ones(ts.shape, dtype=bool)
+    for corner in candidate.profile.corners:
+        cleared &= np.abs(ts - corner.t0) >= CORNER_CLEARANCE
+    return cleared
 
 
-def _residuals(candidate: Candidate, ts: np.ndarray) -> np.ndarray:
-    """Classical residuals at the points ts; non-finite ones are refused."""
-    sums = smallest_sums(candidate_spectra(candidate, ts), candidate.op_index)
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry of mask, or its size when there is none."""
+    return int(np.argmax(mask)) if mask.any() else mask.size
+
+
+def scan_smooth_residuals(candidate: Candidate, grid) -> np.ndarray:
+    """Classical residuals at the grid points, as one array.
+
+    Each point is checked in this order: it must be cleared of every kink,
+    its Hessian must not be refused, its spectrum and then its residual must
+    be finite.  The grid is evaluated in one array pass that stops before
+    the first point failing one of the first three checks.  The error raised
+    is the one the first offending point raises on its own.
+    """
+    ts = np.array(grid, dtype=float)
+    near = ~_cleared(candidate, ts)
+    cut = _first(near | refused_points(candidate, ts))
+    spectra = candidate_spectra(candidate, ts[:cut])
+    if not np.isfinite(spectra).all():
+        cut = _first(~np.isfinite(spectra).all(axis=1))
+    sums = smallest_sums(spectra[:cut], candidate.op_index)
     # f sees Python floats, one at a time: NumPy's array power can round
     # differently from the scalar one, and f(v) is what failing points report
     f = candidate.nonlinearity.f
-    reaction = np.array(
-        [float(f(v)) for v in candidate.profile.values(ts).tolist()], dtype=float
-    )
-    residuals = sums + reaction
+    values = candidate.profile.values(ts[:cut]).tolist()
+    residuals = sums + np.array([float(f(v)) for v in values], dtype=float)
     bad = ~np.isfinite(residuals)
     if bad.any():
         raise VerificationError(f"non-finite residual at t={float(ts[np.argmax(bad)])}")
+    if cut < ts.size:
+        if near[cut]:
+            t = float(ts[cut])
+            corner = next(c for c in candidate.profile.corners
+                          if not abs(t - c.t0) >= CORNER_CLEARANCE)
+            raise CornerOnGridError(
+                f"scan point t={t} is within {CORNER_CLEARANCE} of the"
+                f" kink at t={corner.t0}"
+            )
+        # raises the Hessian refusal, or else the non-finite spectrum, at t
+        smallest_sums(candidate_spectra(candidate, ts[cut:cut + 1]), candidate.op_index)
     return residuals
-
-
-def _probe(candidate: Candidate, t: float, side: str = "smooth") -> ResidualScan:
-    ts = np.array([t], dtype=float)
-    return ResidualScan(ts, _residuals(candidate, ts), side)
-
-
-def _residual_at(candidate: Candidate, t: float) -> float:
-    return float(_probe(candidate, t).residuals[0])
-
-
-def _clear_residuals(candidate: Candidate, ts: np.ndarray) -> np.ndarray:
-    near = np.zeros(ts.shape, dtype=bool)
-    for corner in candidate.profile.corners:
-        near |= np.abs(ts - corner.t0) <= CORNER_CLEARANCE
-    if near.any():
-        t = float(ts[np.argmax(near)])
-        corner = candidate.profile.corner_near(t, CORNER_CLEARANCE)
-        raise CornerOnGridError(
-            f"scan point t={t} is within {CORNER_CLEARANCE} of the"
-            f" kink at t={corner.t0}"
-        )
-    return _residuals(candidate, ts)
-
-
-def scan_smooth_residuals(candidate: Candidate, grid: np.ndarray) -> ResidualScan:
-    """Classical residuals at each grid point, which must avoid kink loci.
-
-    The grid is evaluated in one array pass.  A bad grid is rescanned point
-    by point, so the error raised is the one the first offending point
-    raises on its own.
-    """
-    ts = np.array(grid, dtype=float)
-    try:
-        residuals = _clear_residuals(candidate, ts)
-    except (VerificationError, SingularPointError, MatrixInputError):
-        for i in range(ts.size):
-            _clear_residuals(candidate, ts[i:i + 1])
-        raise
-    return ResidualScan(ts, residuals)
 
 
 def check_corner(
@@ -274,42 +233,6 @@ def check_corner(
     )
 
 
-def _collect(
-    scan: ResidualScan, tol: float
-) -> tuple[bool, bool, list[tuple[float, Witness]]]:
-    """Classify a scan; returns (sub_ok, super_ok, severity-tagged witnesses).
-
-    Only the MAX_WITNESSES witnesses that come first in verify's order (most
-    severe, then smallest t, then rule name) are tagged; verify keeps no more.
-    """
-    r = scan.residuals
-    sub = r < -tol
-    sup = r > tol
-    failing = np.flatnonzero(sub | sup)
-    sup_f = sup[failing]
-    r_f = r[failing]
-    t_f = scan.ts[failing]
-    severity = np.where(sup_f, r_f - tol, -tol - r_f)
-    where = "" if scan.side == "smooth" else f" ({scan.side} probe)"
-    # "smooth-subsolution" sorts before "smooth-supersolution"
-    tagged = []
-    for i in np.lexsort((sup_f, t_f, -severity))[:MAX_WITNESSES].tolist():
-        rule = "smooth-supersolution" if sup_f[i] else "smooth-subsolution"
-        witness = Witness(float(t_f[i]), float(r_f[i]), rule + where)
-        tagged.append((float(severity[i]), witness))
-    return not sub.any(), not sup.any(), tagged
-
-
-def _filter_grid(candidate: Candidate, grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    keep = np.ones(grid.shape, dtype=bool)
-    for corner in candidate.profile.corners:
-        keep &= np.abs(grid - corner.t0) >= CORNER_CLEARANCE
-    if candidate.kind == "radial":
-        keep &= grid >= 0.0
-    return grid[keep]
-
-
 def verify(
     candidate: Candidate,
     grid: np.ndarray | None = None,
@@ -331,33 +254,49 @@ def verify(
             " are not supported"
         )
 
-    scans = [scan_smooth_residuals(candidate, _filter_grid(candidate, grid))]
+    keep = _cleared(candidate, grid)
+    if candidate.kind == "radial":
+        keep &= grid >= 0.0
+    # side 1 and 2 mark the left and right probes of an equal-slope junction
+    probe_ts, probe_sides = [], []
     if candidate.kind == "radial" and grid[0] > 0.0:
         # probe the center too when the profile is flat there
         if abs(profile.deriv(0.0)) <= _ORIGIN_SLOPE_TOL:
-            scans.insert(0, _probe(candidate, 0.0))
+            probe_ts.append(0.0)
+            probe_sides.append(0)
     for corner in profile.corners:
         if corner.kind == "weak":
-            scans.append(_probe(candidate, corner.t0 - PROBE_OFFSET, "corner-left"))
-            scans.append(_probe(candidate, corner.t0 + PROBE_OFFSET, "corner-right"))
+            probe_ts += [corner.t0 - PROBE_OFFSET, corner.t0 + PROBE_OFFSET]
+            probe_sides += [1, 2]
+    ts = np.concatenate([grid[keep], probe_ts])
+    side = np.zeros(ts.size, dtype=int)
+    side[ts.size - len(probe_sides):] = probe_sides
+    r = scan_smooth_residuals(candidate, ts)
 
-    sub_ok = True
-    super_ok = True
-    tagged = []
-    for scan in scans:
-        s_sub, s_super, s_tagged = _collect(scan, tol)
-        sub_ok &= s_sub
-        super_ok &= s_super
-        tagged.extend(s_tagged)
+    sub = r < -tol
+    sup = r > tol
+    sub_ok = not sub.any()
+    super_ok = not sup.any()
+    witnesses = []
     for corner in profile.corners:
         if corner.kind != "weak":
             outcome = check_corner(candidate, corner, tol)
             sub_ok &= outcome.subsolution
             super_ok &= outcome.supersolution
-            tagged.extend((math.inf, w) for w in outcome.witnesses)
-
-    tagged.sort(key=lambda item: (-item[0], item[1].t, item[1].rule))
-    witnesses = tuple(w for _, w in tagged[:MAX_WITNESSES])
+            witnesses.extend(outcome.witnesses)
+    # kink witnesses come first, by t and rule; then the smooth ones, most
+    # severe first, then by t and rule
+    witnesses.sort(key=lambda w: (w.t, w.rule))
+    failing = np.flatnonzero(sub | sup)
+    r_f, t_f, sup_f = r[failing], ts[failing], sup[failing]
+    severity = np.where(sup_f, r_f - tol, -tol - r_f)
+    side_f = side[failing]
+    # 3 * sup + side sorts the way the rule names below sort
+    for i in np.lexsort((3 * sup_f + side_f, t_f, -severity))[:MAX_WITNESSES].tolist():
+        kind = "supersolution" if sup_f[i] else "subsolution"
+        where = ("", " (corner-left probe)", " (corner-right probe)")[side_f[i]]
+        witnesses.append(Witness(float(t_f[i]), float(r_f[i]), f"smooth-{kind}{where}"))
+    witnesses = tuple(witnesses[:MAX_WITNESSES])
 
     structure = _structure(candidate, grid, sub_ok, super_ok, tol)
     return Verdict(

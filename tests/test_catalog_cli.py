@@ -173,6 +173,16 @@ def test_cli_verify_csv_is_witness_table(capsys):
     assert rule == "smooth-subsolution"
 
 
+def test_cli_verify_grid_at_the_kink_clearance(capsys):
+    # the points +-1e-7 sit exactly CORNER_CLEARANCE from the kink at 0, so
+    # they are scanned; only the kink itself is left to the corner rule
+    rc = main(["verify", "--candidate", "halfline-tanh", "--grid-points", "3",
+               "--grid-lo=-1e-7", "--grid-hi=1e-7"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert json.loads(out)["solution"] is True
+
+
 def test_cli_verify_usage_errors(capsys):
     assert main(["verify", "--candidate", "nosuch"]) == 2
     assert main(["verify", "--candidate", "halfline-tanh", "--k", "5"]) == 2

@@ -165,6 +165,24 @@ def test_ordering_holds_in_window():
         assert check_curvature_ordering(run, AC) == []
 
 
+def test_nan_curvature_fails_the_ordering_everywhere():
+    # the cubic reaction with f' undefined (NaN) below 0.2, which the
+    # trajectory from 0.5 crosses before r = 4
+    nl = types.SimpleNamespace(
+        name="nan-fprime",
+        f=AC.f,
+        fprime=lambda u: np.where(np.asarray(u) < 0.2, np.nan, AC.fprime(u)),
+        delta=AC.delta,
+    )
+    run = integrate_ivp(nl, 0.5, 1, step=1e-2, rmax=4.0)
+    assert run.v[-1] < 0.2
+    assert not run.diagnostics.curvature_ordering_holds
+    violations = check_curvature_ordering(run, nl)
+    assert violations[0] == float(run.r[np.argmax(run.v < 0.2)])
+    with pytest.raises(OrderingViolationError, match=f"starting at r={violations[0]}"):
+        residual_of_radial(run, 3, nl)
+
+
 def test_linear_reaction_ordering_margin():
     # v'' - v'/r = alpha e^{-r^2/2k} r^2/k^2 >= 0 exactly
     lin = linear_reaction()

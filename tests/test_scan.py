@@ -1,4 +1,4 @@
-"""The array smooth-point scan against its per-point form and a loop reference."""
+"""The array smooth-point scan against its one-point form and a loop reference."""
 
 import math
 
@@ -16,13 +16,13 @@ from trunclap.operators import (
 )
 from trunclap.profiles import (
     Candidate,
+    Corner,
     Piece,
     Profile1D,
     SingularPointError,
     candidate_hessian,
     candidate_spectra,
     halfline_tanh,
-    plain_tanh,
 )
 from trunclap.viscosity import (
     CORNER_CLEARANCE,
@@ -51,11 +51,12 @@ def _grid(candidate, size):
     if candidate.kind == "radial":
         # starts at the origin, which the radial rule handles
         return np.linspace(0.0, 6.0, size)
-    return viscosity._filter_grid(candidate, np.linspace(-6.0, 6.0, size))
+    ts = np.linspace(-6.0, 6.0, size)
+    return ts[viscosity._cleared(candidate, ts)]
 
 
 def _per_point(candidate, ts):
-    return np.array([viscosity._residual_at(candidate, float(t)) for t in ts])
+    return np.array([scan_smooth_residuals(candidate, [t])[0] for t in ts])
 
 
 def _loop_reference(candidate, ts):
@@ -76,11 +77,11 @@ def test_scan_matches_per_point_bit_for_bit(name):
     for n, k in DIMS:
         cand = catalog.make_candidate(name, n, k)
         ts = _grid(cand, 61)
-        scan = scan_smooth_residuals(cand, ts)
-        assert len(scan) == ts.size
-        assert scan.residuals.tobytes() == _per_point(cand, ts).tobytes(), (n, k)
+        residuals = scan_smooth_residuals(cand, ts)
+        assert residuals.shape == ts.shape
+        assert residuals.tobytes() == _per_point(cand, ts).tobytes(), (n, k)
         ref = _loop_reference(cand, ts)
-        assert np.max(np.abs(scan.residuals - ref)) <= LOOP_TOL, (n, k)
+        assert np.max(np.abs(residuals - ref)) <= LOOP_TOL, (n, k)
 
 
 @pytest.mark.parametrize("name", ["plain-tanh", "radial-closed:0.5,2"])
@@ -90,16 +91,15 @@ def test_scan_block_edges(name, size):
     ts = np.linspace(0.001, 20.0, size) if cand.kind == "radial" else np.linspace(
         -20.0, 20.0, size
     )
-    scan = scan_smooth_residuals(cand, ts)
-    assert len(scan) == size
-    assert scan.residuals.tobytes() == _per_point(cand, ts).tobytes()
+    residuals = scan_smooth_residuals(cand, ts)
+    assert residuals.shape == (size,)
+    assert residuals.tobytes() == _per_point(cand, ts).tobytes()
 
 
 def test_radial_origin_probe_matches_scan_at_zero():
     cand = catalog.make_candidate("radial-closed:0.4,1", 3, 1)
-    at_zero = viscosity._residual_at(cand, 0.0)
-    scan = scan_smooth_residuals(cand, np.array([0.0, 0.5]))
-    assert scan.residuals[0] == at_zero
+    at_zero = scan_smooth_residuals(cand, [0.0])[0]
+    assert scan_smooth_residuals(cand, np.array([0.0, 0.5]))[0] == at_zero
     # the origin Hessian is v''(0) times the identity
     curv = cand.profile.second_deriv(0.0)
     value = cand.profile.value(0.0)
@@ -113,20 +113,28 @@ def test_weak_corner_probes_match_per_point():
     (w,) = verdict.witnesses
     assert w.rule == "smooth-subsolution (corner-left probe)"
     assert w.t == -viscosity.PROBE_OFFSET
-    assert w.residual == viscosity._residual_at(cand, w.t)
+    assert w.residual == scan_smooth_residuals(cand, [w.t])[0]
     assert w.residual == pytest.approx(
         _loop_reference(cand, np.array([w.t]))[0], abs=LOOP_TOL
     )
 
 
-def test_scan_items_are_residual_samples():
-    cand = Candidate("one_dimensional", plain_tanh(), 2, 1, allen_cahn())
-    scan = scan_smooth_residuals(cand, np.array([-1.0, 1.0]))
-    first, second = scan
-    assert isinstance(first, viscosity.ResidualSample)
-    assert first.t == -1.0 and first.side == "smooth"
-    assert scan[-1] == second
-    assert len(scan[:1]) == 1
+@pytest.mark.parametrize(
+    "name,probes", [("tanh-shifted:0", [-1e-6, 1e-6]), ("radial-closed:0.4,1", [0.0])]
+)
+def test_verify_scans_grid_and_probes_in_one_call(monkeypatch, name, probes):
+    cand = catalog.make_candidate(name, 3, 1)
+    grid = np.linspace(0.5, 2.0, 7)
+    scanned = []
+
+    def counted(candidate, ts):
+        scanned.append(np.array(ts))
+        return scan_smooth_residuals(candidate, ts)
+
+    monkeypatch.setattr(viscosity, "scan_smooth_residuals", counted)
+    viscosity.verify(cand, grid=grid)
+    (ts,) = scanned
+    assert ts.tolist() == grid.tolist() + probes
 
 
 # ------------------------------------------------------------------ errors
@@ -168,6 +176,74 @@ def test_first_offending_point_wins_across_error_kinds():
     assert not isinstance(info.value, CornerOnGridError)
     with pytest.raises(CornerOnGridError, match="t=0.0"):
         scan_smooth_residuals(cand, np.array([-1.0, 0.0, -4.0]))
+
+
+def _spiky_piece(lo, hi):
+    """Piece with slope 1 whose value is infinite left of t = -3 and whose
+    curvature is infinite right of t = 5."""
+    return Piece(
+        lo,
+        hi,
+        lambda t: np.where(np.asarray(t) < -3.0, np.inf, np.asarray(t, dtype=float)),
+        lambda t: 1.0 + 0.0 * np.asarray(t),
+        lambda t: np.where(np.asarray(t) > 5.0, np.inf, 0.0),
+    )
+
+
+def _spiky_with_kink():
+    """The spiky piece up to a kink at 10, constant after it."""
+    flat = Piece(10.0, math.inf, lambda t: 10.0 + 0.0 * np.asarray(t),
+                 lambda t: 0.0 * np.asarray(t), lambda t: 0.0 * np.asarray(t))
+    pieces = (_spiky_piece(-math.inf, 10.0), flat)
+    return Profile1D("spiky-with-kink", pieces, (Corner(10.0, 10.0, 1.0, 0.0),))
+
+
+def test_first_offending_point_wins_for_refused_origin_and_non_finite_spectrum():
+    # a radial profile with slope 1 at the origin, where its Hessian is refused
+    profile = Profile1D("spiky", (_spiky_piece(-math.inf, math.inf),), ())
+    cand = Candidate("radial", profile, 3, 1, allen_cahn())
+    with pytest.raises(VerificationError, match="non-finite residual at t=-4.0"):
+        scan_smooth_residuals(cand, np.array([-1.0, -4.0, 0.0, 6.0]))
+    with pytest.raises(SingularPointError, match="not smooth at the origin"):
+        scan_smooth_residuals(cand, np.array([-1.0, 0.0, 6.0, -4.0]))
+    with pytest.raises(MatrixInputError, match="finite"):
+        scan_smooth_residuals(cand, np.array([-1.0, 6.0, 0.0, -4.0]))
+    # and a one-dimensional one with a kink
+    cand = Candidate("one_dimensional", _spiky_with_kink(), 3, 1, allen_cahn())
+    with pytest.raises(MatrixInputError, match="finite"):
+        scan_smooth_residuals(cand, np.array([-1.0, 6.0, 10.0]))
+    with pytest.raises(CornerOnGridError, match="t=10.0"):
+        scan_smooth_residuals(cand, np.array([-1.0, 10.0, 6.0]))
+
+
+@pytest.mark.parametrize(
+    "kind,last,error,message",
+    [
+        ("one_dimensional", 10.0, CornerOnGridError, "t=10.0 is within"),
+        ("radial", 0.0, SingularPointError, "not smooth at the origin"),
+        ("radial", 6.0, MatrixInputError, "must be finite"),
+        ("radial", -4.0, VerificationError, "non-finite residual at t=-4.0"),
+    ],
+)
+def test_long_grid_offending_at_its_last_point_is_not_rescanned(
+    monkeypatch, kind, last, error, message
+):
+    if kind == "one_dimensional":
+        profile = _spiky_with_kink()
+    else:
+        profile = Profile1D("spiky", (_spiky_piece(-math.inf, math.inf),), ())
+    cand = Candidate(kind, profile, 3, 1, allen_cahn())
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return candidate_spectra(*args)
+
+    monkeypatch.setattr(viscosity, "candidate_spectra", counted)
+    ts = np.append(np.linspace(-2.0, -1.0, 16000), last)
+    with pytest.raises(error, match=message):
+        scan_smooth_residuals(cand, ts)
+    assert len(calls) <= 2
 
 
 def test_hessian_stack_refuses_kink_locus_like_per_point():

@@ -17,6 +17,7 @@ from trunclap.profiles import (
     zero_profile,
 )
 from trunclap.viscosity import (
+    CORNER_CLEARANCE,
     CornerOnGridError,
     UnsupportedCandidateError,
     VerificationError,
@@ -58,31 +59,38 @@ def raised_elbow_profile():
 @pytest.mark.parametrize("k", [1, 2])
 def test_halfline_residuals_vanish_on_layer(k):
     c = one_dim(halfline_tanh(), n=3, k=k)
-    samples = scan_smooth_residuals(c, np.array([0.5, 1.0, 2.0]))
-    for s in samples:
-        assert abs(s.residual) <= 1e-10
+    residuals = scan_smooth_residuals(c, np.array([0.5, 1.0, 2.0]))
+    assert np.max(np.abs(residuals)) <= 1e-10
 
 
 def test_plain_tanh_residual_frozen_value():
     # residual at t=-1 equals the bare reaction term: the sole nonzero
     # Hessian eigenvalue is positive there, so the smallest one is 0
     c = one_dim(plain_tanh(), n=2, k=1)
-    (s,) = scan_smooth_residuals(c, np.array([-1.0]))
-    assert s.residual == pytest.approx(-0.38314927641474905, abs=1e-12)
-    (s_pos,) = scan_smooth_residuals(c, np.array([1.0]))
-    assert abs(s_pos.residual) <= 1e-12
+    residual = scan_smooth_residuals(c, [-1.0])[0]
+    assert residual == pytest.approx(-0.38314927641474905, abs=1e-12)
+    assert abs(scan_smooth_residuals(c, [1.0])[0]) <= 1e-12
 
 
 def test_radial_closed_form_residuals():
     c = radial(radial_closed_form(0.5, 1), n=2, k=1)
-    for s in scan_smooth_residuals(c, np.array([0.5, 1.0, 3.0])):
-        assert abs(s.residual) <= 1e-8
+    residuals = scan_smooth_residuals(c, np.array([0.5, 1.0, 3.0]))
+    assert np.max(np.abs(residuals)) <= 1e-8
 
 
 def test_scan_rejects_points_on_kink_locus():
     c = one_dim(halfline_tanh())
     with pytest.raises(CornerOnGridError, match="t=0.0"):
         scan_smooth_residuals(c, np.array([-1.0, 0.0, 1.0]))
+
+
+def test_scan_accepts_points_at_exactly_the_clearance():
+    # the rule verify filters its grid by
+    c = one_dim(halfline_tanh())
+    edge = CORNER_CLEARANCE
+    assert scan_smooth_residuals(c, [-edge, edge]).shape == (2,)
+    with pytest.raises(CornerOnGridError, match="t=9e-08 is within"):
+        scan_smooth_residuals(c, [-edge, 0.9 * edge])
 
 
 # -- corner rules ----------------------------------------------------------------
