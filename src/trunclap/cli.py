@@ -2,7 +2,8 @@
 
 Subcommands: verify, radial, eigenbound, fd, catalog.  Every subcommand
 takes ``--format json|csv`` and ``--out PATH`` (stdout when omitted) and
-produces byte-identical output for identical arguments.
+produces byte-identical output for identical arguments on one machine and
+one NumPy build.
 
 Exit codes: 0 when every assertion matched its expectation (a catalogued
 negative control failing in the expected way is a match), 1 on a
@@ -42,12 +43,10 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 def _cmd_verify(args) -> int:
     nl = catalog.make_nonlinearity(args.f)
     candidate = catalog.make_candidate(args.candidate, args.N, args.k, nl)
+    given = (args.grid_lo, args.grid_hi, args.grid_points)
     grid = None
-    if args.grid_points is not None:
-        lo, hi = args.grid_lo, args.grid_hi
-        if lo is None or hi is None:
-            lo, hi = (1e-3, 20.0) if candidate.kind == "radial" else (-20.0, 20.0)
-        grid = np.linspace(lo, hi, args.grid_points)
+    if any(g is not None for g in given):
+        grid = viscosity.default_grid(candidate.kind, *given)
     verdict = viscosity.verify(candidate, grid=grid, tol=args.tol)
     report = verdict.report()
     if args.format == "json":

@@ -66,13 +66,21 @@ class UnsupportedCandidateError(VerificationError):
     """Candidate shape the engine does not handle (e.g. kinked radial profiles)."""
 
 
-def default_grid(kind: str) -> np.ndarray:
-    """Default scan grids: [-20, 20] step 1e-2 for 1D, (0, 20] for radial."""
-    if kind == "one_dimensional":
-        return np.linspace(-20.0, 20.0, 4001)
-    if kind == "radial":
-        return np.linspace(1e-3, 20.0, 2001)
-    raise VerificationError(f"unknown candidate kind {kind!r}")
+def default_grid(
+    kind: str, lo: float | None = None, hi: float | None = None, points: int | None = None
+) -> np.ndarray:
+    """Scan grid on the default window of the candidate kind (1D: step 1e-2;
+    radial: t > 0).  Each of lo, hi and points that is given replaces its
+    default on its own."""
+    windows = {"one_dimensional": (-20.0, 20.0, 4001), "radial": (1e-3, 20.0, 2001)}
+    if kind not in windows:
+        raise VerificationError(f"unknown candidate kind {kind!r}")
+    d_lo, d_hi, d_points = windows[kind]
+    return np.linspace(
+        d_lo if lo is None else lo,
+        d_hi if hi is None else hi,
+        d_points if points is None else points,
+    )
 
 
 @dataclass(frozen=True)
@@ -174,11 +182,10 @@ def scan_smooth_residuals(candidate: Candidate, grid) -> np.ndarray:
     if not np.isfinite(spectra).all():
         cut = _first(~np.isfinite(spectra).all(axis=1))
     sums = smallest_sums(spectra[:cut], candidate.op_index)
-    # f sees Python floats, one at a time: NumPy's array power can round
-    # differently from the scalar one, and f(v) is what failing points report
-    f = candidate.nonlinearity.f
-    values = candidate.profile.values(ts[:cut]).tolist()
-    residuals = sums + np.array([float(f(v)) for v in values], dtype=float)
+    values = candidate.profile.values(ts[:cut])
+    # a non-finite residual is raised below, naming its first point
+    with np.errstate(all="ignore"):
+        residuals = sums + candidate.nonlinearity.f(values)
     bad = ~np.isfinite(residuals)
     if bad.any():
         raise VerificationError(f"non-finite residual at t={float(ts[np.argmax(bad)])}")
@@ -322,31 +329,19 @@ def _plateau(ts: np.ndarray, values: np.ndarray) -> tuple[float, float] | None:
     return float(ts[start[widest]]), float(ts[stop[widest] - 1])
 
 
-def analyze_profile_structure(
-    candidate: Candidate, verdict: Verdict, grid: np.ndarray | None = None
-) -> StructureReport:
-    """Structure read-offs for a verdict produced on the same candidate."""
-    return _structure(
-        candidate, grid, verdict.subsolution, verdict.supersolution, verdict.tol
-    )
-
-
 def _structure(
     candidate: Candidate,
-    grid: np.ndarray | None,
+    ts: np.ndarray,
     subsolution: bool,
     supersolution: bool,
     tol: float,
 ) -> StructureReport:
-    """Structure read-offs on the scan window with consistency flags.
+    """Structure read-offs on the sorted scan grid ts with consistency flags.
 
     The positivity and plateau expectations are facts about one-dimensional
     profiles only; radial candidates (where bounded positive solutions do
     exist) are exempt from those two flags.
     """
-    if grid is None:
-        grid = default_grid(candidate.kind)
-    ts = np.sort(np.asarray(grid, dtype=float))
     values = candidate.profile.values(ts)
 
     vmin = float(values.min())

@@ -1,6 +1,7 @@
 """Catalog name resolution, the expectation table, and the CLI front end."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -181,6 +182,17 @@ def test_cli_verify_grid_at_the_kink_clearance(capsys):
     out, err = capsys.readouterr()
     assert rc == 0, err
     assert json.loads(out)["solution"] is True
+
+
+@pytest.mark.parametrize(
+    "grid_flags",
+    [["--grid-points", "101", "--grid-lo", "0.5"], ["--grid-lo", "0.5", "--grid-hi", "20"]],
+)
+def test_cli_verify_fills_each_missing_grid_flag_from_the_default_window(capsys, grid_flags):
+    main(["verify", "--candidate", "plain-tanh", "--N", "2", "--k", "1", *grid_flags])
+    out, _ = capsys.readouterr()
+    # the scan starts at 0.5, not at the default window's -20
+    assert json.loads(out)["structure"]["min"] == pytest.approx(math.tanh(0.5 / math.sqrt(2)))
 
 
 def test_cli_verify_usage_errors(capsys):

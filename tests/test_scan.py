@@ -157,6 +157,7 @@ def _blowup_piece(lo, hi):
     return Piece(lo, hi, lambda t: np.where(np.asarray(t) < -3.0, np.inf, 0.0), zero, zero)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_residual_names_first_point():
     profile = Profile1D("blowup", (_blowup_piece(-math.inf, math.inf),), ())
     cand = Candidate("one_dimensional", profile, 3, 1, allen_cahn())
@@ -164,6 +165,7 @@ def test_non_finite_residual_names_first_point():
         scan_smooth_residuals(cand, np.array([-1.0, -4.0, -5.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_first_offending_point_wins_across_error_kinds():
     # a non-finite residual before a kink in the same block is reported first,
     # and a kink before a non-finite residual likewise
@@ -198,6 +200,7 @@ def _spiky_with_kink():
     return Profile1D("spiky-with-kink", pieces, (Corner(10.0, 10.0, 1.0, 0.0),))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_first_offending_point_wins_for_refused_origin_and_non_finite_spectrum():
     # a radial profile with slope 1 at the origin, where its Hessian is refused
     profile = Profile1D("spiky", (_spiky_piece(-math.inf, math.inf),), ())
@@ -216,6 +219,7 @@ def test_first_offending_point_wins_for_refused_origin_and_non_finite_spectrum()
         scan_smooth_residuals(cand, np.array([-1.0, 10.0, 6.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "kind,last,error,message",
     [

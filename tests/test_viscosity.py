@@ -22,8 +22,9 @@ from trunclap.viscosity import (
     UnsupportedCandidateError,
     VerificationError,
     WeakCornerError,
-    analyze_profile_structure,
+    _structure,
     check_corner,
+    default_grid,
     scan_smooth_residuals,
     verify,
 )
@@ -242,23 +243,12 @@ def test_report_schema_keys():
 
 # -- structure consistency flags ----------------------------------------------------
 
-def test_structure_matches_verdict_helper():
-    c = one_dim(halfline_tanh())
-    v = verify(c)
-    rep = analyze_profile_structure(c, v)
-    assert rep == v.structure
-
-
 def test_flag_negative_min_subsolution():
     c = one_dim(plain_tanh(), n=2, k=1)
     v = verify(c)
-    # manufacture an inconsistent verdict to exercise the flag
-    fake = type(v)(
-        candidate=v.candidate, ambient_dim=2, op_index=1, tol=v.tol,
-        subsolution=True, supersolution=False,
-        witnesses=(), structure=v.structure,
-    )
-    rep = analyze_profile_structure(c, fake)
+    assert not v.subsolution
+    # claim the opposite verdict to exercise the flag
+    rep = _structure(c, default_grid(c.kind), True, False, v.tol)
     assert any(f.startswith("subsolution-with-negative-min") for f in rep.flags)
 
 
@@ -266,30 +256,28 @@ def test_flag_positive_supersolution():
     c = one_dim(constant_profile(0.5), n=2, k=1)
     v = verify(c)
     assert not v.supersolution  # honest engine refuses, residual is f(0.5)
-    fake = type(v)(
-        candidate=v.candidate, ambient_dim=2, op_index=1, tol=v.tol,
-        subsolution=False, supersolution=True,
-        witnesses=(), structure=v.structure,
-    )
-    rep = analyze_profile_structure(c, fake)
+    rep = _structure(c, default_grid(c.kind), False, True, v.tol)
     assert any(f.startswith("positive-1d-supersolution") for f in rep.flags)
 
 
 def test_flag_missing_left_plateau():
     c = one_dim(halfline_tanh(), n=3, k=1)
-    v = verify(c, grid=np.linspace(0.5, 20.0, 100))
+    grid = np.linspace(0.5, 20.0, 100)
+    v = verify(c, grid=grid)
     assert v.supersolution
-    rep = analyze_profile_structure(c, v, grid=np.linspace(0.5, 20.0, 100))
+    rep = _structure(c, grid, v.subsolution, v.supersolution, v.tol)
     # window sees only the strictly positive part: both expectations trip
     assert any(f.startswith("positive-1d-supersolution") for f in rep.flags)
+    assert rep == v.structure
 
 
 def test_plateau_flag_on_nonnegative_window():
     c = one_dim(halfline_tanh(), n=3, k=1)
     grid = np.concatenate([[0.0], np.linspace(0.5, 20.0, 100)])
     v = verify(c, grid=grid)
-    rep = analyze_profile_structure(c, v, grid=grid)
+    rep = _structure(c, grid, v.subsolution, v.supersolution, v.tol)
     assert any(f.startswith("missing-left-plateau") for f in rep.flags)
+    assert rep == v.structure
 
 
 def test_radial_exempt_from_1d_flags():
