@@ -84,6 +84,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_radial(args) -> int:
+    checks = args.quadrature_checks
+    if checks < 0:
+        raise radial.RadialInputError(f"--quadrature-checks must be nonnegative, got {checks}")
     nl = catalog.make_nonlinearity(args.f)
     run = radial.integrate_ivp(
         nl,
@@ -96,7 +99,7 @@ def _cmd_radial(args) -> int:
     # oracle cross-check on a coarse subsample
     agree = True
     worst = 0.0
-    checks = min(args.quadrature_checks, run.r.size - 1)
+    checks = min(checks, run.r.size - 1)
     if checks > 0:
         idx = np.unique(np.linspace(1, run.r.size - 1, checks).astype(int))
         for i in idx:
@@ -264,6 +267,7 @@ FAILURE_ERRORS = (
     radial.IntegrationBlowupError,
     radial.OrderingViolationError,
     radial.InverseRangeError,
+    radial.QuadratureError,
 )
 
 

@@ -8,9 +8,10 @@ k * v'(r) / r and the PDE reduces to the scalar initial value problem
 
 This module integrates that IVP with a fixed-step classical RK4 (compensated
 accumulation keeps roundoff near machine precision over long runs), evaluates
-the equivalent quadrature representation v(r) = G(r^2 / 2k) where G inverts
-s -> integral_s^alpha du / f(u), cross-checks the curvature ordering needed
-for the reduction, and reassembles the full ambient residual.
+the equivalent quadrature representation v(r) = G(r^2 / 2k), where G inverts
+s -> integral_s^alpha du / f(u) (Gauss-Legendre quadrature, Newton steps),
+cross-checks the curvature ordering needed for the reduction, and reassembles
+the full ambient residual.
 """
 
 from __future__ import annotations
@@ -24,28 +25,12 @@ DEFAULT_STEP = 1e-3
 DEFAULT_RMAX = 10.0
 # slack for the v'' >= v'/r comparison at sampled points
 ORDERING_SLACK = 1e-9
-# geometric bracketing floor for the quadrature inverse
+# lowest s the inverse searches, quad's tolerance, and the caps on its work
 _BRACKET_FLOOR = 1e-280
 _QUAD_TOL = 1e-11
-_BISECT_ITERS = 200
-
-
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call.
-
-    SciPy takes about half a second to import, and only the quadrature
-    oracle needs it.  The first call rebinds this module's ``quad`` to
-    SciPy's function, unless something else has been bound there meanwhile.
-    """
-    global quad
-    from scipy.integrate import quad as scipy_quad
-
-    if quad is _lazy_quad:
-        quad = scipy_quad
-    return scipy_quad(*args, **kwargs)
-
-
-_lazy_quad = quad
+_QUAD_LEVELS = 12
+_NEWTON_ITERS = 100
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class RadialInputError(ValueError):
@@ -66,6 +51,10 @@ class OrderingViolationError(RuntimeError):
 
 class InverseRangeError(RuntimeError):
     """The reaction integral converges: the inverse stops at a finite radius."""
+
+
+class QuadratureError(RuntimeError):
+    """The quadrature oracle did not settle, so it cannot check the run."""
 
 
 @dataclass(frozen=True)
@@ -131,8 +120,8 @@ def integrate_ivp(
         raise RadialInputError(f"operator index must be a positive integer, got {k}")
     if not (step > 0.0 and math.isfinite(step)):
         raise RadialInputError(f"step must be positive, got {step}")
-    if rmax < 1.0:
-        raise RadialInputError(f"rmax must be at least 1, got {rmax}")
+    if not (rmax >= 1.0 and math.isfinite(rmax)):
+        raise RadialInputError(f"rmax must be finite and at least 1, got {rmax}")
     n = int(round(rmax / step))
     if n < 1 or abs(n * step - rmax) > 1e-9 * max(1.0, rmax):
         raise RadialInputError("rmax must be an integer multiple of step")
@@ -222,24 +211,22 @@ def check_curvature_ordering(run: RadialRun, f) -> list[float]:
     return _ordering_violations(run, second_derivative_from_ode(run, f))
 
 
-def _reaction_integral(f, lo: float, hi: float) -> float:
-    """integral_lo^hi du / f(u) via u = e^w, which flattens the endpoint
-    blowup: the substituted integrand e^w / f(e^w) tends to 1 / f'(0)."""
+def quad(g, a: float, b: float) -> float:
+    """integral_a^b g by the composite 16-point Gauss-Legendre rule.
 
-    def g(w: float) -> float:
-        u = math.exp(w)
-        return u / float(f.f(u))
-
-    result = quad(
-        g,
-        math.log(lo),
-        math.log(hi),
-        epsabs=_QUAD_TOL,
-        epsrel=_QUAD_TOL,
-        limit=200,
-        full_output=1,
-    )
-    return float(result[0])
+    g maps a (panels, nodes) array of abscissae to integrand values.  The
+    panel count doubles from one until two levels agree to _QUAD_TOL.
+    """
+    previous = math.inf
+    for level in range(_QUAD_LEVELS):
+        edges = np.linspace(a, b, 2**level + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = edges[:-1, None] + half * (1.0 + _GL_NODES)
+        total = float(np.sum(half * _GL_WEIGHTS * g(x)))
+        if abs(total - previous) <= _QUAD_TOL * max(1.0, abs(total)):
+            return total
+        previous = total
+    raise QuadratureError(f"quadrature on [{a}, {b}] did not settle")
 
 
 def quadrature_inverse(
@@ -254,9 +241,11 @@ def quadrature_inverse(
     The running cost F(s) = integral_s^alpha du/f(u) increases without bound
     as s drops to 0 whenever 1/f is non-integrable at 0 (the generic case for
     smooth reactions with f(0) = 0), so F inverts on [0, inf); the value is
-    the s with F(s) = r^2 / 2k, found by geometric bracketing plus bisection
-    in log space.  If F turns out to converge, the inverse runs out of range
-    at a finite radius and InverseRangeError reports it.
+    the s with F(s) = r^2 / 2k, found by Newton's method on w = log s with
+    the exact dF/dw = -e^w / f(e^w) (which tends to -1 / f'(0), not
+    blowing up), bisecting wherever a step leaves the bracket.  If F
+    converges, the inverse runs out of range at a finite radius and
+    InverseRangeError reports it.
     """
     _validate_height(f, alpha, allow_beyond_window)
     if not isinstance(k, int) or k < 1:
@@ -266,27 +255,31 @@ def quadrature_inverse(
     if r == 0.0:
         return float(alpha)
 
-    target = r * r / (2.0 * k)
-    lo = alpha * 0.5
-    while _reaction_integral(f, lo, alpha) < target:
-        lo *= 0.25
-        if lo < _BRACKET_FLOOR:
-            total = _reaction_integral(f, _BRACKET_FLOOR, alpha)
-            raise InverseRangeError(
-                f"reaction integral looks convergent (F({_BRACKET_FLOOR}) ="
-                f" {total} < {target}): the profile hits zero at finite radius"
-            )
+    def g(w):
+        u = np.exp(w)
+        return u / f.f(u)
 
-    wlo, whi = math.log(lo), math.log(alpha)  # F(e^wlo) >= target >= F(e^whi)=0
-    for _ in range(_BISECT_ITERS):
-        wmid = 0.5 * (wlo + whi)
-        if _reaction_integral(f, math.exp(wmid), alpha) >= target:
-            wlo = wmid
-        else:
-            whi = wmid
-        if whi - wlo <= 1e-14:
-            break
-    return math.exp(0.5 * (wlo + whi))
+    target = r * r / (2.0 * k)
+    wlo, walpha = math.log(_BRACKET_FLOOR), math.log(alpha)
+    total = quad(g, wlo, walpha)
+    if total < target:
+        raise InverseRangeError(
+            f"reaction integral looks convergent (F({_BRACKET_FLOOR}) ="
+            f" {total} < {target}): the profile hits zero at finite radius"
+        )
+    # F(e^wlo) >= target > F(e^whi) = 0; Newton starts from the upper end
+    w = whi = walpha
+    cost = 0.0
+    for _ in range(_NEWTON_ITERS):
+        wlo, whi = (w, whi) if cost >= target else (wlo, w)
+        step = (cost - target) / float(g(w))
+        if not wlo <= w + step <= whi:
+            step = 0.5 * (wlo + whi) - w
+        w += step
+        if abs(step) <= 1e-13 or whi - wlo <= 1e-14:
+            return math.exp(w)
+        cost = quad(g, w, walpha)
+    raise QuadratureError(f"quadrature inverse at r={r} did not settle")
 
 
 def residual_of_radial(run: RadialRun, N: int, f) -> float:

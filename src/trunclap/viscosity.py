@@ -76,11 +76,10 @@ def default_grid(
     if kind not in windows:
         raise VerificationError(f"unknown candidate kind {kind!r}")
     d_lo, d_hi, d_points = windows[kind]
-    return np.linspace(
-        d_lo if lo is None else lo,
-        d_hi if hi is None else hi,
-        d_points if points is None else points,
-    )
+    lo, hi = (d_lo if lo is None else lo), (d_hi if hi is None else hi)
+    if not np.all(np.isfinite((lo, hi))):
+        raise VerificationError(f"scan grid ends must be finite, got {lo} and {hi}")
+    return np.linspace(lo, hi, d_points if points is None else points)
 
 
 @dataclass(frozen=True)
@@ -248,9 +247,13 @@ def verify(
     """Full verdict: smooth scan + kink rules + structure read-offs."""
     if grid is None:
         grid = default_grid(candidate.kind)
-    grid = np.sort(np.asarray(grid, dtype=float))
+    grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise VerificationError("scan grid must be a 1D array with >= 2 points")
+    i = int(np.argmin(np.isfinite(grid)))  # the first non-finite point, if any
+    if not np.isfinite(grid[i]):
+        raise VerificationError(f"scan grid point {i} is not finite: {grid[i]}")
+    grid = np.sort(grid)
     if tol <= 0.0:
         raise VerificationError(f"tolerance must be positive, got {tol}")
 

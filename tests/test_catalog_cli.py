@@ -202,6 +202,18 @@ def test_cli_verify_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("lo", ["-inf", "nan"])
+def test_cli_verify_refuses_non_finite_grid_ends(lo):
+    argv = ["verify", "--candidate", "plain-tanh", "--N", "2", "--k", "1",
+            f"--grid-lo={lo}", "--grid-hi", "1", "--grid-points", "5"]
+    proc = subprocess.run([sys.executable, "-m", "trunclap", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # the usage error alone: no NumPy warnings from building the grid
+    assert proc.stderr == f"usage error: scan grid ends must be finite, got {lo} and 1.0\n"
+
+
 def test_cli_verify_no_expectation_is_informational(capsys):
     # exploratory reaction: no table entry, exit 0 with a stderr note
     rc = main(
@@ -263,6 +275,22 @@ def test_cli_radial_csv(capsys):
     assert len(lines) == 102  # header + 101 samples
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--rmax", "inf"], "rmax must be finite"),
+        (["--rmax", "nan"], "rmax must be finite"),
+        (["--rmax", "1", "--step", "0.01", "--quadrature-checks", "-5"],
+         "--quadrature-checks must be nonnegative"),
+    ],
+)
+def test_cli_radial_refuses_bad_rmax_and_check_count(capsys, flags, message):
+    assert main(["radial", "--alpha", "0.3", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage error: {message}")
+
+
 def test_cli_radial_window_and_blowup_exits(capsys):
     assert main(["radial", "--alpha", "0.9"]) == 2  # outside the window
     capsys.readouterr()
@@ -274,6 +302,12 @@ def test_cli_radial_window_and_blowup_exits(capsys):
     _, err = capsys.readouterr()
     assert rc == 1
     assert "failure" in err
+    # at the well the reaction integral diverges, so the quadrature never settles
+    rc = main(["radial", "--alpha", "1", "--allow-beyond-window", "--step", "0.01",
+               "--rmax", "2", "--quadrature-checks", "3"])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("failure: quadrature on") and "did not settle" in err
 
 
 # ------------------------------------------------------------ cli: eigenbound
@@ -437,7 +471,17 @@ def test_back_to_back_main_calls_match_separate_processes(capsys):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    code = "import sys, trunclap.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # radial requests with quadrature checks leave it unloaded too
+    code = (
+        "import contextlib, io, sys\n"
+        "from trunclap.cli import main\n"
+        "def loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['radial', '--alpha', '0.5', '--quadrature-checks', '9',"
+        " '--step', '0.01', '--rmax', '4'])\n"
+        "print(rc, loaded())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "0", "False"]

@@ -12,10 +12,12 @@ from trunclap.radial import (
     IntegrationBlowupError,
     InverseRangeError,
     OrderingViolationError,
+    QuadratureError,
     RadialInputError,
     RadialRun,
     check_curvature_ordering,
     integrate_ivp,
+    quad,
     quadrature_inverse,
     residual_of_radial,
     run_report,
@@ -218,6 +220,10 @@ def test_quadrature_linear_reaction_analytic():
     assert quadrature_inverse(linear_reaction(), 0.3, 2, 2.0) == pytest.approx(
         0.3 * math.exp(-1.0), abs=1e-12
     )
+    # deep in the tail, where an absolute tolerance says nothing
+    assert quadrature_inverse(linear_reaction(), 0.3, 1, 10.0) == pytest.approx(
+        0.3 * math.exp(-50.0), rel=1e-12
+    )
 
 
 def test_quadrature_agrees_with_ivp_across_catalog():
@@ -239,6 +245,44 @@ def test_quadrature_detects_finite_range():
     )
     with pytest.raises(InverseRangeError):
         quadrature_inverse(sq, 0.25, 1, 2.0)
+
+
+@pytest.mark.parametrize(
+    "f,alpha",
+    [(AC, 0.5), (power_law(1.0, 0.5, 3.0), 0.9), (linear_reaction(), 0.3)],
+)
+def test_quadrature_inverse_calls_quad_through_the_module(monkeypatch, f, alpha):
+    from trunclap import radial
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return quad(*args)
+
+    monkeypatch.setattr(radial, "quad", counting)
+    for r in (0.5, 2.0, 6.0):
+        calls.clear()
+        quadrature_inverse(f, alpha, 1, r)
+        # the range check, then one call per Newton step
+        assert 2 <= len(calls) <= 6, (f.name, r, len(calls))
+
+
+def test_quad_raises_when_the_levels_do_not_settle():
+    # 1/sqrt(x) is integrable, but its endpoint singularity defeats the rule
+    with pytest.raises(QuadratureError):
+        quad(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
+
+
+def test_quadrature_inverse_raises_when_newton_does_not_settle(monkeypatch):
+    from trunclap import radial
+
+    # past the range check, a cost stuck at zero walks Newton down the
+    # 644-wide bracket in steps of r^2 / 2k = 0.5
+    values = iter([1e9])
+    monkeypatch.setattr(radial, "quad", lambda g, a, b: next(values, 0.0))
+    with pytest.raises(QuadratureError):
+        quadrature_inverse(AC, 0.5, 1, 1.0)
 
 
 def test_quadrature_input_validation():
@@ -321,30 +365,3 @@ def test_reports_deterministic():
     a = run_to_csv(integrate_ivp(AC, 0.4, 2, step=1e-2, rmax=3.0))
     b = run_to_csv(integrate_ivp(AC, 0.4, 2, step=1e-2, rmax=3.0))
     assert a == b
-
-
-def test_quad_loads_scipy_on_first_call_and_rebinds(monkeypatch):
-    from trunclap import radial
-
-    monkeypatch.setattr(radial, "quad", radial._lazy_quad)
-    value = radial._reaction_integral(linear_reaction(), 0.1, 0.2)
-    assert value == pytest.approx(math.log(2.0), rel=1e-12)
-    from scipy.integrate import quad as scipy_quad
-
-    assert radial.quad is scipy_quad
-
-
-def test_quad_keeps_a_wrapper_bound_before_the_first_call(monkeypatch):
-    from trunclap import radial
-
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return radial._lazy_quad(*args, **kwargs)
-
-    monkeypatch.setattr(radial, "quad", wrapper)
-    radial._reaction_integral(linear_reaction(), 0.1, 0.2)
-    radial._reaction_integral(linear_reaction(), 0.1, 0.3)
-    assert radial.quad is wrapper
-    assert len(calls) == 2

@@ -211,6 +211,8 @@ def test_bad_grid_and_tol_rejected():
         verify(c, grid=np.array([1.0]))
     with pytest.raises(VerificationError):
         verify(c, tol=0.0)
+    with pytest.raises(VerificationError, match="scan grid point 1 is not finite: nan"):
+        verify(c, grid=[0.0, math.nan, 1.0])
 
 
 # -- determinism -------------------------------------------------------------------
