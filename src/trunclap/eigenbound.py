@@ -16,6 +16,12 @@ thin the domain gets.  The scan verifies the inequality on a grid through a
 three-region case split driven by the signs of sin(n x) and sin(y), checks
 the sign and boundary behaviour of w, and estimates the area by seeded
 Monte Carlo against the exact change-of-variables value 2 pi^2 / n.
+
+The grid is separable: x is an (R, 1) column and y a (1, R) row, each sine
+is taken once on its own vector, and only w, the boundary distance, the
+residual and the masks are (R, R).  Membership has one rule, a positive
+boundary distance min(s, pi - s, pi/2 - |t|) in the strip coordinates s, t
+above; the grid's interior and the Monte Carlo area both read it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,11 @@ RESIDUAL_TOL = 1e-12
 INTERIOR_MARGIN = 1e-9
 MIN_RESOLUTION = 50
 MIN_AREA_SAMPLES = 100_000
+# ceilings, checked before anything is allocated, that keep each step's
+# traced peak under 256 MiB: a scan holds about 48 bytes per grid sample
+# (147 with its CSV text), the Monte Carlo area about 50 per sample
+MAX_RESOLUTION = 1_200
+MAX_AREA_SAMPLES = 5_000_000
 DEFAULT_AREA_SAMPLES = 400_000
 _AREA_SEED_BASE = 74120
 _SPOT_CHECKS = 64
@@ -67,24 +78,22 @@ class CollapsingDomain:
         return s, t
 
     def membership(self, x, y):
-        s, t = self.strip_coords(x, y)
-        return (s > 0) & (s < _PI) & (t > -_PI / 2) & (t < _PI / 2)
+        """Open-domain mask: the one rule, a positive boundary distance."""
+        return self.boundary_distance(x, y) > 0
 
     def boundary_distance(self, x, y):
-        """Distance to the boundary in strip coordinates; negative outside."""
+        """Distance to the boundary in strip coordinates; negative outside.
+
+        Exactly the least of s, pi - s, pi/2 - t and pi/2 + t, so it is
+        positive just where all four strip inequalities hold; NaN in, NaN out.
+        """
         s, t = self.strip_coords(x, y)
-        return np.minimum.reduce([s, _PI - s, _PI / 2 - t, _PI / 2 + t])
+        t = _PI / 2 - np.abs(t)
+        return np.minimum(np.minimum(s, _PI - s), t)
 
 
 def w_n(n: int, x, y):
     return -(np.sin(n * np.asarray(x)) + np.sin(np.asarray(y)))
-
-
-def w_n_factored(n: int, x, y):
-    """Product form -2 sin((nx+y)/2) cos((nx-y)/2); equal to w_n to roundoff."""
-    s = 0.5 * (n * np.asarray(x) + np.asarray(y))
-    t = 0.5 * (n * np.asarray(x) - np.asarray(y))
-    return -2.0 * np.sin(s) * np.cos(t)
 
 
 def hessian_w_n(n: int, x: float, y: float) -> SymmetricMatrix:
@@ -123,63 +132,48 @@ class EigenScanReport:
         }
 
 
-def _grid(domain: CollapsingDomain, resolution: int):
-    xmin, xmax, ymin, ymax = domain.bounding_box
-    xs = np.linspace(xmin, xmax, resolution)
-    ys = np.linspace(ymin, ymax, resolution)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return X, Y
-
-
 def _checked_samples(n: int, resolution: int):
     """Grid samples of the certificate scan; hard-fails on violations.
 
-    Returns (domain, X, Y, w, residual, d, closed, interior, regions): d is
-    the boundary distance, closed masks the closed domain, and regions maps
+    x is an (R, 1) column and y a (1, R) row of the bounding box, so sin(n x)
+    and sin(y) are taken once per coordinate and broadcasting builds only
+    the (R, R) arrays that need both.  Returns (x, y, w, residual, d, closed,
+    interior, regions): d is the boundary distance, the one membership rule
+    (closed is d >= -1e-12, interior d > INTERIOR_MARGIN), and regions maps
     "A", "B", "C" and "both" to disjoint masks that cover the interior; see
     :func:`scan_inequality`.
     """
-    if not isinstance(resolution, int) or resolution < MIN_RESOLUTION:
-        raise ScanInputError(
-            f"resolution must be an integer >= {MIN_RESOLUTION}, got {resolution}"
-        )
+    if not isinstance(resolution, int) or not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ScanInputError(f"resolution must be an integer in"
+                             f" [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}")
     domain = CollapsingDomain(n)
-    X, Y = _grid(domain, resolution)
-    w = w_n(n, X, Y)
-    snx = np.sin(n * X)
-    sy = np.sin(Y)
+    xmin, xmax, ymin, ymax = domain.bounding_box
+    x = np.linspace(xmin, xmax, resolution)[:, None]
+    y = np.linspace(ymin, ymax, resolution)[None, :]
+    snx = np.sin(n * x)
+    sy = np.sin(y)
     a = float(n * n) * snx
-    d = domain.boundary_distance(X, Y)
+    w = -(snx + sy)
+    d = domain.boundary_distance(x, y)
+    residual = np.minimum(a, sy) + w
+
+    def refuse(bad, message: str) -> None:
+        """Raise message, naming the first flagged sample in scan order."""
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+            at = f"({x[i, 0]}, {y[0, j]})"
+            raise CertificateViolation(message.format(at=at, residual=residual[i, j]))
 
     # global closed-square bound |w| <= 2 * distance-to-boundary
     closed = d >= -1e-12
-    slack = np.abs(w[closed]) - 2.0 * np.maximum(d[closed], 0.0)
-    if slack.size and float(slack.max()) > 1e-12:
-        i = int(np.argmax(slack))
-        xi = X[closed][i]
-        yi = Y[closed][i]
-        raise CertificateViolation(
-            f"boundary decay |w| <= 2*dist broken at ({xi}, {yi})"
-        )
-
+    refuse(closed & (np.abs(w) - 2.0 * np.maximum(d, 0.0) > 1e-12),
+           "boundary decay |w| <= 2*dist broken at {at}")
     interior = d > INTERIOR_MARGIN
     if not interior.any():
         raise ScanInputError("no interior samples; increase the resolution")
-    residual = np.minimum(a, sy) + w
-
-    bad = interior & (residual > RESIDUAL_TOL)
-    if bad.any():
-        i = np.argwhere(bad)[0]
-        raise CertificateViolation(
-            f"inequality broken at ({X[tuple(i)]}, {Y[tuple(i)]}):"
-            f" residual {residual[tuple(i)]}"
-        )
-    nonneg = interior & (w >= 0.0)
-    if nonneg.any():
-        i = np.argwhere(nonneg)[0]
-        raise CertificateViolation(
-            f"w is not negative at interior sample ({X[tuple(i)]}, {Y[tuple(i)]})"
-        )
+    refuse(interior & (residual > RESIDUAL_TOL),
+           "inequality broken at {at}: residual {residual}")
+    refuse(interior & (w >= 0.0), "w is not negative at interior sample {at}")
 
     regions = {
         "A": interior & (snx > 0.0) & (sy > 0.0),
@@ -187,33 +181,28 @@ def _checked_samples(n: int, resolution: int):
         "C": interior & (snx > 0.0) & (sy <= 0.0),
         "both": interior & (snx <= 0.0) & (sy <= 0.0),
     }
+    minus_w_tol = -w + RESIDUAL_TOL
     chains = {
-        "A": (np.minimum(a, sy) <= sy + RESIDUAL_TOL) & (sy <= -w + RESIDUAL_TOL),
-        "B": (a <= snx + RESIDUAL_TOL) & (snx <= -w + RESIDUAL_TOL),
-        "C": sy <= -w + RESIDUAL_TOL,
+        "A": (np.minimum(a, sy) <= sy + RESIDUAL_TOL) & (sy <= minus_w_tol),
+        "B": (a <= snx + RESIDUAL_TOL) & (snx <= minus_w_tol),
+        "C": sy <= minus_w_tol,
     }
     for name, ok in chains.items():
-        broken = regions[name] & ~ok
-        if broken.any():
-            i = np.argwhere(broken)[0]
-            raise CertificateViolation(
-                f"region {name} chain broken at ({X[tuple(i)]}, {Y[tuple(i)]})"
-            )
+        refuse(regions[name] & ~ok, f"region {name} chain broken at {{at}}")
 
     # spot-check the diagonal shortcut against the matrix engine
-    flat = np.flatnonzero(interior.ravel())
+    flat = np.flatnonzero(interior)
     stride = max(1, flat.size // _SPOT_CHECKS)
-    for idx in flat[::stride]:
-        i, j = np.unravel_index(idx, interior.shape)
-        m = hessian_w_n(n, float(X[i, j]), float(Y[i, j]))
+    for i, j in zip(*np.unravel_index(flat[::stride], interior.shape)):
+        m = hessian_w_n(n, float(x[i, 0]), float(y[0, j]))
         engine = smallest_eigen_sum(m, 1)
-        direct = min(float(a[i, j]), float(sy[i, j]))
+        direct = min(float(a[i, 0]), float(sy[0, j]))
         if abs(engine - direct) > 1e-13 * (1.0 + abs(direct)):
             raise CertificateViolation(
                 f"diagonal shortcut disagrees with the eigensolver at"
-                f" ({X[i, j]}, {Y[i, j]})"
+                f" ({x[i, 0]}, {y[0, j]})"
             )
-    return domain, X, Y, w, residual, d, closed, interior, regions
+    return x, y, w, residual, d, closed, interior, regions
 
 
 def scan_inequality(n: int, resolution: int = 200) -> EigenScanReport:
@@ -227,12 +216,9 @@ def scan_inequality(n: int, resolution: int = 200) -> EigenScanReport:
     cannot be interior (w < 0 forces sin(nx) + sin(y) > 0) but are counted
     under "both" if they ever appear.
     """
-    domain, X, Y, w, residual, d, closed, interior, regions = _checked_samples(
-        n, resolution
-    )
-    xmin, xmax, ymin, ymax = domain.bounding_box
+    _, _, w, residual, d, closed, interior, regions = _checked_samples(n, resolution)
+    xmin, xmax, ymin, ymax = CollapsingDomain(n).bounding_box
     box_area = (xmax - xmin) * (ymax - ymin)
-    inside = domain.membership(X, Y)
     # one grid step measured in strip coordinates
     dx = (xmax - xmin) / (resolution - 1)
     dy = (ymax - ymin) / (resolution - 1)
@@ -249,16 +235,15 @@ def scan_inequality(n: int, resolution: int = 200) -> EigenScanReport:
         max_interior_w=float(w[interior].max()),
         boundary_max_abs_w=boundary_max,
         boundary_band=float(band),
-        grid_area_estimate=float(inside.mean()) * box_area,
+        grid_area_estimate=float((d > 0).mean()) * box_area,
     )
 
 
 def area_estimate(n: int, samples: int = DEFAULT_AREA_SAMPLES) -> float:
     """Seeded Monte Carlo area of the domain; exact value is 2 pi^2 / n."""
-    if not isinstance(samples, int) or samples < MIN_AREA_SAMPLES:
-        raise ScanInputError(
-            f"need at least {MIN_AREA_SAMPLES} samples, got {samples}"
-        )
+    if not isinstance(samples, int) or not MIN_AREA_SAMPLES <= samples <= MAX_AREA_SAMPLES:
+        raise ScanInputError(f"area samples must be an integer in"
+                             f" [{MIN_AREA_SAMPLES}, {MAX_AREA_SAMPLES}], got {samples}")
     domain = CollapsingDomain(n)
     xmin, xmax, ymin, ymax = domain.bounding_box
     rng = np.random.default_rng(_AREA_SEED_BASE + n)
@@ -304,16 +289,17 @@ def scan_to_csv(n: int, resolution: int = 200) -> str:
 
     The scan's checks run first, so a broken certificate dumps nothing.
     """
-    _, X, Y, w, residual, _, _, interior, regions = _checked_samples(n, resolution)
+    x, y, w, residual, _, _, interior, regions = _checked_samples(n, resolution)
     label = np.empty(interior.shape, dtype="<U4")
     for name, mask in regions.items():
         label[mask] = name
     lines = ["x,y,w,residual,region"]
     # one grid row at a time, so only one row of Python floats is alive
     for i, row in enumerate(interior):
-        columns = (arr[i, row].tolist() for arr in (X, Y, w, residual, label))
-        for x, y, wv, r, region in zip(*columns):
-            lines.append(f"{x!r},{y!r},{wv!r},{r!r},{region}")
+        xi = repr(x[i, 0].item())
+        columns = (arr[row].tolist() for arr in (y[0], w[i], residual[i], label[i]))
+        for yv, wv, r, region in zip(*columns):
+            lines.append(f"{xi},{yv!r},{wv!r},{r!r},{region}")
     # the empty last row ends the text with a newline without a second copy
     lines.append("")
     return "\n".join(lines)

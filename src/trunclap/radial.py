@@ -16,6 +16,7 @@ the full ambient residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ import numpy as np
 
 DEFAULT_STEP = 1e-3
 DEFAULT_RMAX = 10.0
+# most RK4 steps per run, checked before allocating: 8 MB per sampled array
+MAX_STEPS = 1_000_000
 # slack for the v'' >= v'/r comparison at sampled points
 ORDERING_SLACK = 1e-9
 # lowest s the inverse searches, quad's tolerance, and the caps on its work
@@ -30,7 +33,6 @@ _BRACKET_FLOOR = 1e-280
 _QUAD_TOL = 1e-11
 _QUAD_LEVELS = 12
 _NEWTON_ITERS = 100
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 class RadialInputError(ValueError):
@@ -122,6 +124,11 @@ def integrate_ivp(
         raise RadialInputError(f"step must be positive, got {step}")
     if not (rmax >= 1.0 and math.isfinite(rmax)):
         raise RadialInputError(f"rmax must be finite and at least 1, got {rmax}")
+    if rmax / step > MAX_STEPS:
+        raise RadialInputError(
+            f"--rmax {rmax} / --step {step} asks for {rmax / step:g} RK4 steps;"
+            f" the limit is {MAX_STEPS}"
+        )
     n = int(round(rmax / step))
     if n < 1 or abs(n * step - rmax) > 1e-9 * max(1.0, rmax):
         raise RadialInputError("rmax must be an integer multiple of step")
@@ -211,18 +218,25 @@ def check_curvature_ordering(run: RadialRun, f) -> list[float]:
     return _ordering_violations(run, second_derivative_from_ode(run, f))
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """16-point nodes and weights, built on the first quad call, not at import."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def quad(g, a: float, b: float) -> float:
     """integral_a^b g by the composite 16-point Gauss-Legendre rule.
 
     g maps a (panels, nodes) array of abscissae to integrand values.  The
     panel count doubles from one until two levels agree to _QUAD_TOL.
     """
+    nodes, weights = _gauss_legendre()
     previous = math.inf
     for level in range(_QUAD_LEVELS):
         edges = np.linspace(a, b, 2**level + 1)
         half = 0.5 * np.diff(edges)[:, None]
-        x = edges[:-1, None] + half * (1.0 + _GL_NODES)
-        total = float(np.sum(half * _GL_WEIGHTS * g(x)))
+        x = edges[:-1, None] + half * (1.0 + nodes)
+        total = float(np.sum(half * weights * g(x)))
         if abs(total - previous) <= _QUAD_TOL * max(1.0, abs(total)):
             return total
         previous = total

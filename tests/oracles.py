@@ -100,3 +100,11 @@ def one_sided_slope(fn, t0: float, side: str, h: float = 1e-6) -> float:
 
 def centered_second(fn, t: float, h: float = 1e-5) -> float:
     return (fn(t + h) - 2.0 * fn(t) + fn(t - h)) / (h * h)
+
+
+def w_n_factored(n: int, x, y):
+    """Product form -2 sin((nx+y)/2) cos((nx-y)/2) of the collapsing-domain
+    test function -(sin(nx) + sin(y)); equal to it to roundoff."""
+    s = 0.5 * (n * np.asarray(x) + np.asarray(y))
+    t = 0.5 * (n * np.asarray(x) - np.asarray(y))
+    return -2.0 * np.sin(s) * np.cos(t)

@@ -282,6 +282,11 @@ def test_cli_radial_csv(capsys):
         (["--rmax", "nan"], "rmax must be finite"),
         (["--rmax", "1", "--step", "0.01", "--quadrature-checks", "-5"],
          "--quadrature-checks must be nonnegative"),
+        # refused before the trajectory is allocated
+        (["--step", "1e-15", "--rmax", "10"],
+         "--rmax 10.0 / --step 1e-15 asks for 1e+16 RK4 steps; the limit is 1000000"),
+        (["--step", "5e-324", "--rmax", "10"],
+         "--rmax 10.0 / --step 5e-324 asks for inf RK4 steps; the limit is 1000000"),
     ],
 )
 def test_cli_radial_refuses_bad_rmax_and_check_count(capsys, flags, message):
@@ -471,12 +476,21 @@ def test_back_to_back_main_calls_match_separate_processes(capsys):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # radial requests with quadrature checks leave it unloaded too
+    # radial requests with quadrature checks leave it unloaded too; only the
+    # radial quadrature loads numpy.polynomial, on its first call
     code = (
         "import contextlib, io, sys\n"
         "from trunclap.cli import main\n"
         "def loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
-        "print(loaded())\n"
+        "def poly(): return 'numpy.polynomial' in sys.modules\n"
+        "print(loaded(), poly())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rcs = [main(['verify', '--candidate', 'halfline-tanh', '--N', '3',"
+        " '--k', '2', '--grid-points', '101']),\n"
+        "           main(['fd', '--boundary', 'zero', '--h', '0.5']),\n"
+        "           main(['eigenbound', '--n', '1', '--grid', '50',"
+        " '--area-samples', '100000'])]\n"
+        "print(*rcs, poly())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = main(['radial', '--alpha', '0.5', '--quadrature-checks', '9',"
         " '--step', '0.01', '--rmax', '4'])\n"
@@ -484,4 +498,6 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "0", "False"]
+    assert proc.stdout.split() == [
+        "False", "False", "0", "0", "0", "False", "0", "False"
+    ]

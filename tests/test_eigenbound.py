@@ -1,9 +1,16 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import w_n_factored
 
+from trunclap import eigenbound
+from trunclap.cli import main
 from trunclap.eigenbound import (
+    MAX_AREA_SAMPLES,
+    MAX_RESOLUTION,
     CertificateViolation,
     CollapsingDomain,
     EigenScanReport,
@@ -14,7 +21,6 @@ from trunclap.eigenbound import (
     scan_inequality,
     scan_to_csv,
     w_n,
-    w_n_factored,
 )
 from trunclap.operators import SymmetricMatrix, smallest_eigen_sum
 
@@ -79,6 +85,42 @@ def test_membership_matches_strips():
     assert not dom.membership(0.0, 0.0)
 
 
+def _four_strip_inequalities(dom, x, y):
+    s, t = dom.strip_coords(x, y)
+    return (s > 0) & (s < PI) & (t > -PI / 2) & (t < PI / 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_membership_is_the_four_strip_inequalities(n):
+    dom = CollapsingDomain(n)
+    xmin, xmax, ymin, ymax = dom.bounding_box
+    rng = np.random.default_rng(2024 + n)
+    # the box widened by a margin, so every edge is crossed
+    x = rng.uniform(xmin - 1.0, xmax + 1.0, 1_000_000)
+    y = rng.uniform(ymin - 1.0, ymax + 1.0, 1_000_000)
+    assert np.array_equal(dom.membership(x, y), _four_strip_inequalities(dom, x, y))
+    # on the line y = -n x the strip coordinate s is exactly zero
+    assert not dom.membership(x, -(n * x)).any()
+    # the scan's own grid: an (R, 1) column against a (1, R) row
+    for resolution in (50, 199, 400):
+        xs = np.linspace(xmin, xmax, resolution)[:, None]
+        ys = np.linspace(ymin, ymax, resolution)[None, :]
+        inside = dom.membership(xs, ys)
+        assert inside.shape == (resolution, resolution)
+        assert np.array_equal(inside, _four_strip_inequalities(dom, xs, ys))
+
+
+def test_membership_is_false_at_nan_and_agrees_at_infinities():
+    dom = CollapsingDomain(3)
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, PI / 6, -PI / 2, PI]
+    x, y = np.array(list(itertools.product(special, special))).T
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert np.array_equal(dom.membership(x, y), _four_strip_inequalities(dom, x, y))
+    for x, y in [(math.nan, 0.5), (0.3, math.nan), (math.nan, math.nan)]:
+        assert not dom.membership(x, y)
+        assert math.isnan(dom.boundary_distance(x, y))
+
+
 def test_bad_index_rejected():
     with pytest.raises(ScanInputError):
         CollapsingDomain(0)
@@ -127,10 +169,53 @@ def test_sign_classification_equals_interval_classification():
     assert np.array_equal(sy_neg[interior], by_interval_y[interior])
 
 
-def test_scan_resolution_floor():
+def test_scan_resolution_floor(capsys):
     with pytest.raises(ScanInputError):
         scan_inequality(1, 49)
     scan_inequality(1, 50)  # floor itself is fine
+    # the ceiling is refused before the grid is allocated, in both formats
+    too_fine = str(MAX_RESOLUTION + 1)
+    with pytest.raises(ScanInputError):
+        scan_inequality(1, MAX_RESOLUTION + 1)
+    for fmt in ("json", "csv"):
+        assert main(["eigenbound", "--n", "1", "--grid", too_fine, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"usage error: resolution must be an integer in [50, {MAX_RESOLUTION}],"
+            f" got {too_fine}\n"
+        )
+
+
+def test_scan_memory_budget():
+    # broadcasting keeps about six (R, R) float arrays alive; a dense
+    # meshgrid scan peaked at 78.1 MiB here
+    tracemalloc.start()
+    try:
+        scan_inequality(7, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+def test_violation_names_the_first_flagged_sample(monkeypatch):
+    # below every residual, the tolerance flags each interior sample, so the
+    # message names the first interior sample in scan order, as plain floats
+    monkeypatch.setattr(eigenbound, "RESIDUAL_TOL", -10.0)
+    with pytest.raises(CertificateViolation) as info:
+        scan_inequality(2, 60)
+    dom = CollapsingDomain(2)
+    xmin, xmax, ymin, ymax = dom.bounding_box
+    X, Y = np.meshgrid(np.linspace(xmin, xmax, 60), np.linspace(ymin, ymax, 60),
+                       indexing="ij")
+    i, j = np.argwhere(dom.boundary_distance(X, Y) > eigenbound.INTERIOR_MARGIN)[0]
+    snx, sy = np.sin(2 * X), np.sin(Y)
+    residual = (np.minimum(4.0 * snx, sy) - (snx + sy))[i, j]
+    assert str(info.value) == (
+        f"inequality broken at ({float(X[i, j])}, {float(Y[i, j])}):"
+        f" residual {float(residual)}"
+    )
 
 
 def test_scan_deterministic():
@@ -150,9 +235,21 @@ def test_area_scaling_constant():
         assert val == pytest.approx(values[0], rel=0.02)
 
 
-def test_area_sample_floor():
+def test_area_sample_floor(capsys):
     with pytest.raises(ScanInputError):
         area_estimate(1, samples=5000)
+    # the ceiling is refused before any sample is drawn
+    with pytest.raises(ScanInputError):
+        area_estimate(1, samples=MAX_AREA_SAMPLES + 1)
+    for samples in (MAX_AREA_SAMPLES + 1, 99999999999999999999):
+        argv = ["eigenbound", "--n", "1", "--grid", "50", "--area-samples", str(samples)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"usage error: area samples must be an integer in"
+            f" [100000, {MAX_AREA_SAMPLES}], got {samples}\n"
+        )
 
 
 def test_area_deterministic():

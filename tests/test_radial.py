@@ -136,6 +136,9 @@ def test_bad_step_and_rmax():
         integrate_ivp(AC, 0.5, 0)
     with pytest.raises(RadialInputError):
         integrate_ivp(AC, 0.5, 1, step=0.3, rmax=1.0)
+    # more steps than MAX_STEPS, refused before anything is allocated
+    with pytest.raises(RadialInputError, match="the limit is 1000000"):
+        integrate_ivp(AC, 0.5, 1, step=1e-12, rmax=1.0)
 
 
 def test_blowup_reports_last_good_radius():
